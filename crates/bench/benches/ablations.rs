@@ -460,10 +460,10 @@ fn compiled_pipeline(c: &mut Criterion) {
 
     // --- The pipeline tail on identical prefetched batches.
     // Fetching is shared byte for byte between the two paths, so timing
-    // `run_program` vs `run_join_pipeline` on the same batches isolates
-    // exactly what compilation removes: the per-request filter/join/project
-    // shape derivation. ---
-    use bcq_exec::{run_join_pipeline, run_program, run_program_columnar, Batch, ExecContext};
+    // `run_program_columnar` vs `run_join_pipeline` on the same batches
+    // isolates what compilation plus the columnar layout remove: the
+    // per-request filter/join/project shape derivation. ---
+    use bcq_exec::{run_join_pipeline, run_program_columnar, Batch, ExecContext};
     let sigma = Sigma::build(&q);
     let layouts: Vec<Vec<usize>> = vec![vec![0, 1]; ATOMS];
     let prog = OpProgram::compile(&q, &sigma, &layouts, None);
@@ -488,15 +488,12 @@ fn compiled_pipeline(c: &mut Criterion) {
         .collect();
     {
         // Semantic guard on the exact batches being timed.
-        let mut cctx = ExecContext::new(&db, None);
-        let compiled = run_program(&prog, base_batches.clone(), &mut cctx).unwrap();
         let mut ictx = ExecContext::new(&db, None);
         let interpreted = run_join_pipeline(&q, &sigma, base_batches.clone(), &mut ictx).unwrap();
-        assert_eq!(compiled, interpreted);
         let mut vctx = ExecContext::new(&db, None);
         let columnar = run_program_columnar(&prog, base_cols.clone(), &mut vctx).unwrap();
         assert_eq!(columnar, interpreted);
-        assert!(!compiled.is_empty());
+        assert!(!columnar.is_empty());
     }
 
     eprintln!("\n== ablation/compiled_pipeline (8-atom chain) ==");
@@ -508,13 +505,6 @@ fn compiled_pipeline(c: &mut Criterion) {
             .len();
     });
     columnar.record("ablation/compiled_pipeline/columnar");
-    let compiled = measure_median_ns(15, 2000, |_| {
-        let mut ctx = ExecContext::new(&db, None);
-        sink += run_program(&prog, base_batches.clone(), &mut ctx)
-            .unwrap()
-            .len();
-    });
-    compiled.record("ablation/compiled_pipeline/compiled");
     let interpreted = measure_median_ns(15, 2000, |_| {
         let mut ctx = ExecContext::new(&db, None);
         sink += run_join_pipeline(&q, &sigma, base_batches.clone(), &mut ctx)
@@ -528,13 +518,6 @@ fn compiled_pipeline(c: &mut Criterion) {
     record_derived(
         "speedup_compiled_vs_interpreted",
         interpreted.ns / columnar.ns,
-    );
-    // The columnar layout's own contribution: same compiled program,
-    // row-major vs column-major interpretation.
-    record_derived("speedup_columnar_vs_row", compiled.ns / columnar.ns);
-    record_derived(
-        "speedup_compiled_vs_interpreted_tail",
-        interpreted.ns / compiled.ns,
     );
 
     // --- End-to-end ratio: the same plan, fetches included — what a whole

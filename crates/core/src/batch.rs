@@ -14,8 +14,8 @@
 //! know their per-atom fetch bounds statically, so batches are small and
 //! column-at-a-time passes stay resident in cache.
 //!
-//! The row-at-a-time interpreter over [`crate::row::RowBuf`] batches
-//! survives unchanged as the differential oracle; `bcq-exec`'s equivalence
+//! The query-walking operators over row-major [`crate::row::RowBuf`]
+//! batches survive as the differential oracle; `bcq-exec`'s equivalence
 //! tests drive both layouts over identical inputs and assert identical
 //! answers and meter charges.
 

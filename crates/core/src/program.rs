@@ -15,9 +15,9 @@
 //! ## Instruction set
 //!
 //! A program is a small set of flat, position-resolved tables — there is no
-//! bytecode, just vectors the interpreter (`run_program` /
-//! `run_program_partials` in `bcq-exec`) walks without ever consulting the
-//! query again:
+//! bytecode, just vectors the columnar interpreter
+//! (`run_program_columnar` and its variants in `bcq-exec`) walks without
+//! ever consulting the query again:
 //!
 //! * **Pins** ([`PinSource`]): every constant and parameter slot the query
 //!   mentions, deduplicated. The interpreter resolves each pin to an
@@ -110,7 +110,7 @@ fn join_schedule(
             })
             .collect();
         // Per-column merge actions for the columnar interpreter: what the
-        // row-at-a-time class-walk merge does at each position, decided
+        // row-wise class-walk merge does at each position, decided
         // here (against the same `bound` state) so `reschedule_joins`
         // recomputes them consistently with the schedule.
         let col_actions: Vec<ColAction> = col_classes[atom]
@@ -188,7 +188,7 @@ pub struct SeedPin {
 /// What the join merge does with one batch column — the columnar
 /// interpreter's per-column instruction, precomputed per [`JoinStep`]
 /// against the classes bound when the step runs. Together the actions
-/// reproduce the row-at-a-time class-walk merge exactly: `Key` positions
+/// reproduce the row-wise class-walk merge exactly: `Key` positions
 /// are equality-checked by the hash probe, `Bind` positions write through,
 /// and `CheckDup` positions carry the only row-local comparisons left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

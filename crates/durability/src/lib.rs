@@ -21,7 +21,7 @@
 //!   vector; [`checkpoint`] writes sync-before/sync-after and retains the
 //!   previous snapshot as fallback against torn checkpoints.
 //! * [`recover()`] — snapshot restore + longest-gap-free-run log replay
-//!   through the public `Database` API, with a [`ReplayObserver`] hook the
+//!   as cells through the live write functions, with a [`ReplayObserver`] hook the
 //!   serving tier uses to drive registered incremental views back to
 //!   consistency.
 //!

@@ -70,17 +70,8 @@ pub enum RecordBody {
         /// Relation being loaded.
         rel: u32,
     },
-    /// One row of the in-progress bulk load.
-    BulkRow {
-        /// Relation being loaded.
-        rel: u32,
-        /// Raw cell words of the row.
-        cells: Vec<u64>,
-    },
     /// One chunk of the in-progress bulk load: `rows` rows stored row-major
-    /// back to back in `cells` — the bulk-ingest fast path's amortized
-    /// record (one frame per chunk instead of one [`RecordBody::BulkRow`]
-    /// per row).
+    /// back to back in `cells` (one frame per chunk, not per row).
     BulkChunk {
         /// Relation being loaded.
         rel: u32,
@@ -151,10 +142,6 @@ impl RecordBody {
                 commit,
                 rel: rel.0 as u32,
             },
-            WalOp::BulkRow { rel, cells } => RecordBody::BulkRow {
-                rel: rel.0 as u32,
-                cells: cells_of(cells),
-            },
             WalOp::BulkChunk { rel, rows, cells } => RecordBody::BulkChunk {
                 rel: rel.0 as u32,
                 rows,
@@ -180,7 +167,6 @@ impl RecordBody {
             | RecordBody::Delete { rel, .. }
             | RecordBody::DeleteMaintained { rel, .. }
             | RecordBody::BulkBegin { rel, .. }
-            | RecordBody::BulkRow { rel, .. }
             | RecordBody::BulkChunk { rel, .. }
             | RecordBody::BulkEnd { rel }
             | RecordBody::EnsureIndex { rel, .. } => Some(rel),
@@ -198,7 +184,6 @@ impl RecordBody {
             | RecordBody::EnsureIndex { commit, .. } => Some(commit),
             RecordBody::InternStr { .. }
             | RecordBody::InternWide { .. }
-            | RecordBody::BulkRow { .. }
             | RecordBody::BulkChunk { .. }
             | RecordBody::BulkEnd { .. } => None,
         }
@@ -212,7 +197,7 @@ const KIND_INSERT_MAINTAINED: u8 = 4;
 const KIND_DELETE: u8 = 5;
 const KIND_DELETE_MAINTAINED: u8 = 6;
 const KIND_BULK_BEGIN: u8 = 7;
-const KIND_BULK_ROW: u8 = 8;
+// Kind 8 was a per-row bulk record; it is retired, not reused.
 const KIND_ENSURE_INDEX: u8 = 9;
 const KIND_BULK_END: u8 = 10;
 const KIND_BULK_CHUNK: u8 = 11;
@@ -356,11 +341,6 @@ pub fn encode_op_into(seq: u64, op: &WalOp<'_>, out: &mut Vec<u8>) {
             out.extend_from_slice(&commit.to_le_bytes());
             out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
         }
-        WalOp::BulkRow { rel, cells } => {
-            out.push(KIND_BULK_ROW);
-            out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
-            put_cell_slice(out, cells);
-        }
         WalOp::BulkChunk { rel, rows, cells } => {
             out.push(KIND_BULK_CHUNK);
             out.extend_from_slice(&(rel.0 as u32).to_le_bytes());
@@ -427,11 +407,6 @@ impl WalRecord {
                 out.extend_from_slice(&commit.to_le_bytes());
                 out.extend_from_slice(&rel.to_le_bytes());
             }
-            RecordBody::BulkRow { rel, cells } => {
-                out.push(KIND_BULK_ROW);
-                out.extend_from_slice(&rel.to_le_bytes());
-                put_cells(&mut out, cells);
-            }
             RecordBody::BulkChunk { rel, rows, cells } => {
                 out.push(KIND_BULK_CHUNK);
                 out.extend_from_slice(&rel.to_le_bytes());
@@ -495,10 +470,6 @@ impl WalRecord {
                 commit: r.u64()?,
                 rel: r.u32()?,
             },
-            KIND_BULK_ROW => RecordBody::BulkRow {
-                rel: r.u32()?,
-                cells: take_cells(&mut r)?,
-            },
             KIND_BULK_CHUNK => RecordBody::BulkChunk {
                 rel: r.u32()?,
                 rows: r.u32()?,
@@ -554,10 +525,6 @@ mod tests {
                 cells: vec![0b011],
             },
             RecordBody::BulkBegin { commit: 13, rel: 7 },
-            RecordBody::BulkRow {
-                rel: 7,
-                cells: vec![1, 2, 3],
-            },
             RecordBody::BulkChunk {
                 rel: 7,
                 rows: 2,
@@ -620,10 +587,6 @@ mod tests {
             WalOp::BulkBegin {
                 commit: 13,
                 rel: RelId(7),
-            },
-            WalOp::BulkRow {
-                rel: RelId(7),
-                cells: &cells,
             },
             WalOp::BulkChunk {
                 rel: RelId(7),

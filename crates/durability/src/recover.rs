@@ -14,15 +14,19 @@
 //!    history is the **longest gap-free run** after the snapshot boundary:
 //!    a missing sequence number means every later record may depend on
 //!    un-synced state, so everything beyond the gap is discarded.
-//! 3. **Replay.** The kept run is re-applied through the public
-//!    [`Database`] API. A side symbol table (snapshot dump + intern
-//!    records) decodes each record's raw cell words back to values; the
-//!    replaying database re-interns them in the original emission order,
-//!    so the rebuilt cells — and therefore rows, indices, and epochs — are
-//!    bit-identical. Each commit-bearing record asserts the database
-//!    arrived at exactly its commit stamp. A bulk load replays only if its
-//!    closing [`RecordBody::BulkEnd`] made it to the log; an open bulk at
-//!    the tail is torn and discarded whole.
+//! 3. **Replay.** The kept run is re-applied **as cells**, through the
+//!    same functions live writes use: intern records fold into the
+//!    database's symbol table in emission order (each checked to get its
+//!    logged id), so logged cell words stay valid as they are; row records
+//!    go through [`Database::apply_cells`] and bulk chunks through the
+//!    bulk loader — no record is decoded to values and re-encoded. So the
+//!    rebuilt cells — and therefore rows, indices, and epochs — are
+//!    bit-identical. Every cell word is checked first (a valid word, ids
+//!    interned, the relation's arity, the relation in range), and each
+//!    commit-bearing record asserts the database arrived at exactly its
+//!    commit stamp. A bulk load applies only once its closing
+//!    [`RecordBody::BulkEnd`] is read, straight from the staged records;
+//!    an open bulk at the tail is torn and discarded whole.
 //! 4. **Truncate.** Streams are cut back to the last kept record, so the
 //!    discarded suffix can never resurface and a writer restarted at
 //!    `last_seq + 1` never collides. This is also what makes recovery
@@ -37,8 +41,8 @@ use crate::record::{RecordBody, WalRecord};
 use crate::snapshot::{decode_snapshot, restore_snapshot, SNAP_PREFIX};
 use crate::storage::LogStorage;
 use crate::writer::{parse_rel_stream, META_STREAM};
-use bcq_core::prelude::{Catalog, Cell, CellKind, RelId, SymbolTable, Value};
-use bcq_storage::Database;
+use bcq_core::prelude::{Catalog, Cell, CellKind, RelId, Value};
+use bcq_storage::{Database, WriteKind};
 use std::io;
 use std::sync::Arc;
 
@@ -173,23 +177,21 @@ struct Staged {
     record: WalRecord,
 }
 
-/// An in-flight bulk load being buffered until its `BulkEnd` proves it
-/// complete. Interns are buffered alongside the rows: a torn bulk is
-/// discarded whole, and its intern records are truncated away with it, so
-/// they must not leak into the recovered database's symbol table (a later
-/// writer would then skip re-logging them).
+/// An open bulk load: its records are checked as they arrive but applied
+/// only when its `BulkEnd` proves it complete — straight from the staged
+/// run, so nothing is buffered. Its intern records wait too: a torn bulk
+/// is discarded whole, and its interns are truncated away with it, so they
+/// must not leak into the recovered symbol table (a later writer would
+/// then skip re-logging them).
 struct PendingBulk {
     rel: u32,
     commit: u64,
-    begin_seq: u64,
-    rows: Vec<Vec<Value>>,
-    interns: Vec<Intern>,
-}
-
-/// One buffered intern record of an in-flight bulk load.
-enum Intern {
-    Str(String),
-    Wide(i64),
+    /// Index of the `BulkBegin` record in the replay run.
+    begin: usize,
+    /// Intern records seen since the begin: the ids the load's cells may
+    /// reference beyond the symbol table's current size.
+    strs: usize,
+    wides: usize,
 }
 
 /// [`recover`], with an observer watching each replayed mutation.
@@ -208,7 +210,6 @@ pub fn recover_with(
         .collect();
     snaps.sort();
     let mut db = None;
-    let mut side = SymbolTable::new();
     let mut snap_seq = 0;
     for name in snaps.iter().rev() {
         let Some(bytes) = storage.read_blob(name)? else {
@@ -216,13 +217,11 @@ pub fn recover_with(
         };
         let restored = decode_snapshot(&bytes).and_then(|snap| {
             let seq = snap.last_seq;
-            let symbols = snap.symbols.clone();
-            restore_snapshot(catalog.clone(), snap).map(|db| (db, symbols, seq))
+            restore_snapshot(catalog.clone(), snap).map(|db| (db, seq))
         });
         match restored {
-            Ok((restored_db, symbols, seq)) => {
+            Ok((restored_db, seq)) => {
                 db = Some(restored_db);
-                side = symbols;
                 snap_seq = seq;
                 report.snapshot = Some(name.clone());
                 break;
@@ -280,55 +279,44 @@ pub fn recover_with(
         run.push(s);
     }
 
-    // 3. Replay, buffering bulk loads until their end record.
-    let cat = db.catalog().clone();
+    // 3. Replay: logged cells are applied as cells, through the same
+    //    functions live writes use; a bulk load waits for its end record.
     let mut pending: Option<PendingBulk> = None;
+    let mut cells: Vec<Cell> = Vec::new();
     let mut applied_through = snap_seq;
-    for s in &run {
+    for (i, s) in run.iter().enumerate() {
         let seq = s.record.seq;
         if let Some(bulk) = &mut pending {
             match &s.record.body {
-                RecordBody::InternStr { id, text } => {
-                    check_intern_str(&mut side, *id, text)?;
-                    bulk.interns.push(Intern::Str(text.clone()));
+                // Ids are dense: a pending intern must take the next one.
+                // (It is folded, and checked again, at `BulkEnd`.)
+                RecordBody::InternStr { id, .. } => {
+                    check_next_id(*id, db.symbols().len() + bulk.strs, seq)?;
+                    bulk.strs += 1;
                 }
-                RecordBody::InternWide { id, value } => {
-                    check_intern_wide(&mut side, *id, *value)?;
-                    bulk.interns.push(Intern::Wide(*value));
+                RecordBody::InternWide { id, .. } => {
+                    check_next_id(*id, db.symbols().num_wide_ints() + bulk.wides, seq)?;
+                    bulk.wides += 1;
                 }
-                RecordBody::BulkRow { rel, cells } if *rel == bulk.rel => {
-                    bulk.rows.push(decode_cells(&side, cells, seq)?);
-                }
-                RecordBody::BulkChunk { rel, rows, cells } if *rel == bulk.rel => {
-                    let n = *rows as usize;
-                    if n == 0 || cells.len() % n != 0 {
+                RecordBody::BulkChunk {
+                    rel,
+                    rows,
+                    cells: raw,
+                } if *rel == bulk.rel => {
+                    let arity = db.catalog().relation(RelId(*rel as usize)).arity();
+                    if *rows == 0 || raw.len() != *rows as usize * arity {
                         return Err(RecoverError::Replay(format!(
-                            "bulk chunk at seq {seq} carries {} cells for {n} rows",
-                            cells.len()
+                            "bulk chunk at seq {seq} carries {} cells for {rows} rows of \
+                             arity {arity}",
+                            raw.len()
                         )));
                     }
-                    let arity = cells.len() / n;
-                    let vals = decode_cells(&side, cells, seq)?;
-                    bulk.rows.extend(vals.chunks(arity).map(<[Value]>::to_vec));
+                    decode_cells(&db, raw, (bulk.strs, bulk.wides), seq, &mut cells)?;
                 }
                 RecordBody::BulkEnd { rel } if *rel == bulk.rel => {
                     let bulk = pending.take().unwrap();
-                    let rel = rel_id(&db, bulk.rel, seq)?;
-                    // Fold the load's interns in first, in logged (id)
-                    // order: the re-pushed rows then reuse the original
-                    // symbol ids even though the bulk-ingest fast path
-                    // interned them column-at-a-time.
-                    for intern in &bulk.interns {
-                        match intern {
-                            Intern::Str(text) => db.replay_intern_str(text),
-                            Intern::Wide(value) => db.replay_intern_wide(*value),
-                        }
-                    }
-                    let mut loader = db.loader(rel);
-                    for row in &bulk.rows {
-                        loader.push(row);
-                    }
-                    drop(loader);
+                    let rel = RelId(bulk.rel as usize);
+                    apply_bulk(&mut db, rel, &run[bulk.begin + 1..i], &mut cells)?;
                     check_commit(&db, bulk.commit, seq)?;
                     observer.applied(&db, ReplayEvent::BulkLoaded { rel });
                 }
@@ -343,76 +331,72 @@ pub fn recover_with(
             continue;
         }
         match &s.record.body {
-            RecordBody::InternStr { id, text } => {
-                check_intern_str(&mut side, *id, text)?;
-                db.replay_intern_str(text);
+            RecordBody::InternStr { id, text } => replay_intern_str(&mut db, *id, text)?,
+            RecordBody::InternWide { id, value } => replay_intern_wide(&mut db, *id, *value)?,
+            RecordBody::Insert {
+                commit,
+                rel,
+                cells: raw,
             }
-            RecordBody::InternWide { id, value } => {
-                check_intern_wide(&mut side, *id, *value)?;
-                db.replay_intern_wide(*value);
+            | RecordBody::InsertMaintained {
+                commit,
+                rel,
+                cells: raw,
             }
-            RecordBody::Insert { commit, rel, cells }
-            | RecordBody::InsertMaintained { commit, rel, cells } => {
-                let maintained = matches!(s.record.body, RecordBody::InsertMaintained { .. });
-                let rel = rel_id(&db, *rel, seq)?;
-                let row = decode_cells(&side, cells, seq)?;
-                let name = cat.relation(rel).name();
-                let result = if maintained {
-                    db.insert_maintained(name, &row).map(|_| ())
-                } else {
-                    db.insert(name, &row)
+            | RecordBody::Delete {
+                commit,
+                rel,
+                cells: raw,
+            }
+            | RecordBody::DeleteMaintained {
+                commit,
+                rel,
+                cells: raw,
+            } => {
+                let (kind, maintained) = match s.record.body {
+                    RecordBody::Insert { .. } => (WriteKind::Insert, false),
+                    RecordBody::InsertMaintained { .. } => (WriteKind::Insert, true),
+                    RecordBody::Delete { .. } => (WriteKind::Delete, false),
+                    _ => (WriteKind::Delete, true),
                 };
-                result.map_err(|e| RecoverError::Replay(format!("insert at seq {seq}: {e}")))?;
-                check_commit(&db, *commit, seq)?;
-                observer.applied(
-                    &db,
-                    ReplayEvent::Inserted {
-                        rel,
-                        row,
-                        maintained,
-                    },
-                );
-            }
-            RecordBody::Delete { commit, rel, cells }
-            | RecordBody::DeleteMaintained { commit, rel, cells } => {
-                let maintained = matches!(s.record.body, RecordBody::DeleteMaintained { .. });
-                let rel = rel_id(&db, *rel, seq)?;
-                let row = decode_cells(&side, cells, seq)?;
-                let name = cat.relation(rel).name();
-                let hit = if maintained {
-                    db.delete_maintained(name, &row)
-                } else {
-                    db.delete(name, &row)
-                }
-                .map_err(|e| RecoverError::Replay(format!("delete at seq {seq}: {e}")))?;
-                if !hit {
+                let rel = RelId(*rel as usize);
+                decode_cells(&db, raw, (0, 0), seq, &mut cells)?;
+                // Relation range and arity are checked by `apply_cells`.
+                let landed = db
+                    .apply_cells(kind, rel, &cells, maintained)
+                    .map_err(|e| RecoverError::Replay(format!("row write at seq {seq}: {e}")))?;
+                if landed.is_none() {
                     return Err(RecoverError::Replay(format!(
                         "logged delete at seq {seq} found no row on replay"
                     )));
                 }
                 check_commit(&db, *commit, seq)?;
-                observer.applied(
-                    &db,
-                    ReplayEvent::Deleted {
+                let row = db.decode_row(&cells);
+                let event = match kind {
+                    WriteKind::Insert => ReplayEvent::Inserted {
                         rel,
                         row,
                         maintained,
                     },
-                );
+                    WriteKind::Delete => ReplayEvent::Deleted {
+                        rel,
+                        row,
+                        maintained,
+                    },
+                };
+                observer.applied(&db, event);
             }
             RecordBody::BulkBegin { commit, rel } => {
                 rel_id(&db, *rel, seq)?;
                 pending = Some(PendingBulk {
                     rel: *rel,
                     commit: *commit,
-                    begin_seq: seq,
-                    rows: Vec::new(),
-                    interns: Vec::new(),
+                    begin: i,
+                    strs: 0,
+                    wides: 0,
                 });
             }
-            RecordBody::BulkRow { .. }
-            | RecordBody::BulkChunk { .. }
-            | RecordBody::BulkEnd { .. } => {
+            RecordBody::BulkChunk { .. } | RecordBody::BulkEnd { .. } => {
                 return Err(RecoverError::Replay(format!(
                     "bulk record at seq {seq} outside any bulk load"
                 )));
@@ -430,9 +414,9 @@ pub fn recover_with(
     }
     // A bulk load still open at the end of the run never logged its end
     // record: it is torn, and everything from its begin record on is
-    // discarded (the buffered rows were never applied).
+    // discarded (none of it was applied).
     if let Some(bulk) = pending {
-        applied_through = bulk.begin_seq - 1;
+        applied_through = run[bulk.begin].record.seq - 1;
     }
 
     report.last_seq = applied_through;
@@ -459,14 +443,41 @@ pub fn recover_with(
     Ok((db, report))
 }
 
-/// Applies an intern record to the side table, checking the id matches the
-/// replay contract (dense sequential assignment). The caller is
-/// responsible for mirroring the intern into the replaying database —
-/// immediately for committed records, or deferred through
-/// [`PendingBulk::interns`] inside an open bulk load (whose records may
-/// yet be discarded as torn).
-fn check_intern_str(side: &mut SymbolTable, id: u32, text: &str) -> Result<(), RecoverError> {
-    let got = side.intern(text);
+/// Applies a complete bulk load from its staged records (everything
+/// between `BulkBegin` and `BulkEnd`, already checked on arrival): folds
+/// its interns first, in logged (id) order, then appends every chunk's
+/// cells through the bulk loader — one commit for the whole load, as live.
+fn apply_bulk(
+    db: &mut Database,
+    rel: RelId,
+    records: &[&Staged],
+    cells: &mut Vec<Cell>,
+) -> Result<(), RecoverError> {
+    for s in records {
+        match &s.record.body {
+            RecordBody::InternStr { id, text } => replay_intern_str(db, *id, text)?,
+            RecordBody::InternWide { id, value } => replay_intern_wide(db, *id, *value)?,
+            _ => {}
+        }
+    }
+    let mut loader = db.bulk_loader(rel);
+    for s in records {
+        if let RecordBody::BulkChunk { cells: raw, .. } = &s.record.body {
+            cells.clear();
+            cells.extend(
+                raw.iter()
+                    .map(|&w| Cell::from_raw(w).expect("cell words checked on arrival")),
+            );
+            loader.push_cells(cells);
+        }
+    }
+    Ok(())
+}
+
+/// Folds one logged string intern into the replaying database, checking it
+/// got the logged id (dense sequential assignment — the replay contract).
+fn replay_intern_str(db: &mut Database, id: u32, text: &str) -> Result<(), RecoverError> {
+    let got = db.replay_intern_str(text);
     if got.0 != id {
         return Err(RecoverError::Replay(format!(
             "intern of {text:?} replayed to id {} but was logged as {id}",
@@ -476,9 +487,11 @@ fn check_intern_str(side: &mut SymbolTable, id: u32, text: &str) -> Result<(), R
     Ok(())
 }
 
-fn check_intern_wide(side: &mut SymbolTable, id: u32, value: i64) -> Result<(), RecoverError> {
-    side.encode(&Value::Int(value));
-    if side.wide_ints().get(id as usize) != Some(&value) {
+/// Folds one logged wide-int intern, checking it landed at the logged
+/// pool index.
+fn replay_intern_wide(db: &mut Database, id: u32, value: i64) -> Result<(), RecoverError> {
+    let got = db.replay_intern_wide(value);
+    if got.kind() != CellKind::WideInt(id) {
         return Err(RecoverError::Replay(format!(
             "wide int {value} not at logged pool index {id} after replay"
         )));
@@ -486,28 +499,50 @@ fn check_intern_wide(side: &mut SymbolTable, id: u32, value: i64) -> Result<(), 
     Ok(())
 }
 
-/// Decodes a record's raw cell words against the side symbol table,
-/// rejecting words the table cannot account for.
-fn decode_cells(side: &SymbolTable, cells: &[u64], seq: u64) -> Result<Vec<Value>, RecoverError> {
-    cells
-        .iter()
-        .map(|&raw| {
-            let cell = Cell::from_raw(raw).ok_or_else(|| {
-                RecoverError::Replay(format!("invalid cell word {raw:#x} at seq {seq}"))
-            })?;
-            let known = match cell.kind() {
-                CellKind::Null | CellKind::SmallInt(_) => true,
-                CellKind::Sym(sym) => (sym.0 as usize) < side.len(),
-                CellKind::WideInt(ix) => (ix as usize) < side.num_wide_ints(),
-            };
-            if !known {
-                return Err(RecoverError::Replay(format!(
-                    "cell word {raw:#x} at seq {seq} references an id never interned"
-                )));
-            }
-            Ok(side.decode(cell))
-        })
-        .collect()
+/// Checks that an intern record inside an open bulk load names the next
+/// dense id.
+fn check_next_id(id: u32, next: usize, seq: u64) -> Result<(), RecoverError> {
+    if id as usize == next {
+        Ok(())
+    } else {
+        Err(RecoverError::Replay(format!(
+            "intern at seq {seq} was logged as id {id}, the next free id is {next}"
+        )))
+    }
+}
+
+/// Checks a record's raw cell words and collects them into `out`: every
+/// word must be a valid cell, and every symbol or wide-int id it names
+/// must be interned — in the database's symbol table, or among the
+/// `pending` (string, wide-int) interns of an open bulk load.
+fn decode_cells(
+    db: &Database,
+    raw: &[u64],
+    pending: (usize, usize),
+    seq: u64,
+    out: &mut Vec<Cell>,
+) -> Result<(), RecoverError> {
+    let symbols = db.symbols();
+    let strs = symbols.len() + pending.0;
+    let wides = symbols.num_wide_ints() + pending.1;
+    out.clear();
+    for &word in raw {
+        let cell = Cell::from_raw(word).ok_or_else(|| {
+            RecoverError::Replay(format!("invalid cell word {word:#x} at seq {seq}"))
+        })?;
+        let known = match cell.kind() {
+            CellKind::Null | CellKind::SmallInt(_) => true,
+            CellKind::Sym(sym) => (sym.0 as usize) < strs,
+            CellKind::WideInt(ix) => (ix as usize) < wides,
+        };
+        if !known {
+            return Err(RecoverError::Replay(format!(
+                "cell word {word:#x} at seq {seq} references an id never interned"
+            )));
+        }
+        out.push(cell);
+    }
+    Ok(())
 }
 
 fn rel_id(db: &Database, rel: u32, seq: u64) -> Result<RelId, RecoverError> {

@@ -32,11 +32,17 @@
 //!   (fsync-before-ack) while the fsync cost amortizes across however
 //!   many writers raced into the batch.
 //!
-//! ## Errors
+//! ## Errors: fail-stop
 //!
-//! `WalSink::record` is infallible by contract, so I/O failures are
-//! stashed ([`WalWriter::take_error`]) and surfaced on the next explicit
-//! `sync()`; the in-memory store keeps serving either way.
+//! The first failed append or fsync **poisons** the writer for good.
+//! `WalSink::record` is infallible by contract, so it cannot report the
+//! failure itself; instead it stops appending, and every later
+//! [`WalWriter::ack`], [`WalWriter::sync_through`] and [`WalWriter::sync`]
+//! returns the error. Nothing is retried: after a failed append the log
+//! has a hole that later records must not paper over, and after a failed
+//! fsync the kernel may already have dropped the dirty pages, so a fresh
+//! fsync could report a success that covers nothing. Reopening the log
+//! (recovery, then a new writer) is the only way back.
 
 use crate::frame::{crc32, FRAME_HEADER};
 use crate::record::encode_op_into;
@@ -44,7 +50,7 @@ use crate::storage::LogStorage;
 use bcq_storage::{WalOp, WalSink};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// The stream interning records are written to.
 pub const META_STREAM: &str = "meta";
@@ -91,8 +97,6 @@ struct WriterInner {
     next_seq: u64,
     /// Commit-bearing records appended since the last fsync.
     unsynced_ops: u64,
-    /// First I/O failure since the last `take_error`, if any.
-    error: Option<io::Error>,
     /// Reused frame-encoding buffer: the steady-state record path
     /// performs zero heap allocations of its own.
     scratch: Vec<u8>,
@@ -131,6 +135,9 @@ pub struct WalWriter {
     group_records: AtomicU64,
     group: Mutex<GroupState>,
     group_cv: Condvar,
+    /// The first append or fsync failure (kind, message): once set, the
+    /// writer is poisoned for good (see the module docs).
+    failure: OnceLock<(io::ErrorKind, String)>,
 }
 
 impl WalWriter {
@@ -144,7 +151,6 @@ impl WalWriter {
             inner: Mutex::new(WriterInner {
                 next_seq: start_seq,
                 unsynced_ops: 0,
-                error: None,
                 scratch: Vec::with_capacity(128),
                 rel_streams: Vec::new(),
             }),
@@ -159,6 +165,25 @@ impl WalWriter {
             group_records: AtomicU64::new(0),
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
+            failure: OnceLock::new(),
+        }
+    }
+
+    /// Records `e` as the writer's failure (the first one wins) and
+    /// returns it: from now on the writer is poisoned.
+    fn poison(&self, e: io::Error) -> io::Error {
+        let _ = self.failure.set((e.kind(), e.to_string()));
+        e
+    }
+
+    /// `Err` with the poisoning failure once the writer is poisoned.
+    fn check(&self) -> io::Result<()> {
+        match self.failure.get() {
+            None => Ok(()),
+            Some((kind, msg)) => Err(io::Error::new(
+                *kind,
+                format!("WAL writer stopped after an earlier failure: {msg}"),
+            )),
         }
     }
 
@@ -189,28 +214,21 @@ impl WalWriter {
         self.inner.lock().unwrap().next_seq - 1
     }
 
-    /// Flushes everything appended so far, surfacing any stashed write
-    /// error first.
+    /// Flushes everything appended so far. Fails — without touching the
+    /// device — once the writer is poisoned.
     pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(e) = inner.error.take() {
-            return Err(e);
-        }
+        self.check()?;
         // Snapshot the watermarks while holding `inner`: no append can
         // race past them, so the fsync below certainly covers them.
         let seq = self.appended_seq.load(Ordering::Acquire);
         let commits = self.commits.load(Ordering::Acquire);
-        self.storage.sync()?;
+        self.storage.sync().map_err(|e| self.poison(e))?;
         inner.unsynced_ops = 0;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.durable_seq.fetch_max(seq, Ordering::AcqRel);
         self.durable_commits.fetch_max(commits, Ordering::AcqRel);
         Ok(())
-    }
-
-    /// Takes the first I/O error stashed by the infallible record path.
-    pub fn take_error(&self) -> Option<io::Error> {
-        self.inner.lock().unwrap().error.take()
     }
 
     /// Commit-bearing records appended but not yet covered by an fsync.
@@ -233,8 +251,10 @@ impl WalWriter {
     /// another leader; `Manual` does nothing. Returns the number of commits
     /// this call's own flush(es) newly made durable (the group-commit batch
     /// size), or `None` if it didn't lead a flush. No-op outside deferred
-    /// mode, where `record` already applied the policy inline.
+    /// mode, where `record` already applied the policy inline. Once the
+    /// writer is poisoned every ack fails, whatever the policy.
     pub fn ack(&self) -> io::Result<Option<u64>> {
+        self.check()?;
         if !self.is_deferred() {
             return Ok(None);
         }
@@ -261,10 +281,16 @@ impl WalWriter {
     /// fsync, electing one waiting thread as the flush **leader** while
     /// the rest wait for its batch. Returns the total number of commits
     /// this thread's own leaderships newly made durable (`None` if it
-    /// only followed).
+    /// only followed). Fails once the writer is poisoned — including for a
+    /// follower whose leader's fsync failed: nobody re-leads a flush after
+    /// a failure (see the module docs).
     pub fn sync_through(&self, seq: u64) -> io::Result<Option<u64>> {
         let mut led: Option<u64> = None;
-        while self.durable_seq.load(Ordering::Acquire) < seq {
+        loop {
+            self.check()?;
+            if self.durable_seq.load(Ordering::Acquire) >= seq {
+                break;
+            }
             let mut st = self.group.lock().unwrap_or_else(|e| e.into_inner());
             if self.durable_seq.load(Ordering::Acquire) >= seq {
                 break;
@@ -276,6 +302,10 @@ impl WalWriter {
                 let _st = self.group_cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
+            // Re-checked under the group lock: a leader that just failed
+            // poisoned the writer before releasing `leading`, so no waiter
+            // can slip in and lead a fresh fsync after the failure.
+            self.check()?;
             st.leading = true;
             drop(st);
             // Lead: snapshot the append watermarks *before* the fsync so
@@ -283,7 +313,7 @@ impl WalWriter {
             // (later racing appends just aren't claimed durable yet).
             let target_seq = self.appended_seq.load(Ordering::Acquire);
             let target_commits = self.commits.load(Ordering::Acquire);
-            let res = self.storage.sync();
+            let res = self.storage.sync().map_err(|e| self.poison(e));
             let mut st = self.group.lock().unwrap_or_else(|e| e.into_inner());
             st.leading = false;
             drop(st);
@@ -319,6 +349,9 @@ impl WalWriter {
 impl WalSink for WalWriter {
     fn record(&self, op: WalOp<'_>) {
         let mut guard = self.inner.lock().unwrap();
+        if self.failure.get().is_some() {
+            return; // Poisoned: nothing more reaches the log.
+        }
         let inner = &mut *guard;
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -346,9 +379,7 @@ impl WalSink for WalWriter {
             }
         };
         if let Err(e) = self.storage.append(stream, &inner.scratch) {
-            if inner.error.is_none() {
-                inner.error = Some(e);
-            }
+            self.poison(e);
             return;
         }
         self.records.fetch_add(1, Ordering::Relaxed);
@@ -379,9 +410,7 @@ impl WalSink for WalWriter {
                             .fetch_max(self.commits.load(Ordering::Acquire), Ordering::AcqRel);
                     }
                     Err(e) => {
-                        if inner.error.is_none() {
-                            inner.error = Some(e);
-                        }
+                        self.poison(e);
                     }
                 }
             }

@@ -2,14 +2,18 @@
 //! through [`MemLog`]'s crash model: torn tails, partial snapshots, CRC
 //! corruption, lying fsyncs, torn bulk loads, and sequence gaps — each
 //! asserting recovery lands on a consistent committed prefix (or fails
-//! loudly when the log is damaged in a way a crash cannot produce).
+//! loudly when the log is damaged in a way a crash cannot produce). A
+//! failing-device wrapper drives the writer's fail-stop contract, and
+//! hand-built records drive replay's input checks.
 
 use bcq_core::prelude::*;
 use bcq_durability::{
-    checkpoint, frame::append_frame, recover, snapshot_name, LogStorage, MemLog, RecordBody,
-    RecoverError, SyncPolicy, WalRecord, WalWriter,
+    checkpoint, frame::append_frame, recover, rel_stream, snapshot_name, LogStorage, MemLog,
+    RecordBody, RecoverError, RecoveryReport, SyncPolicy, WalRecord, WalWriter, META_STREAM,
 };
 use bcq_storage::Database;
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -127,9 +131,9 @@ fn recovery_is_idempotent_and_restartable() {
     let (mut db, w) = wired(&log, SyncPolicy::Manual);
     db.insert("r", &[Value::str("x"), Value::int(1)]).unwrap();
     {
-        let mut l = db.loader(RelId(1));
-        l.push(&[Value::int(10)]);
-        l.push(&[Value::int(20)]);
+        let mut l = db.bulk_loader(RelId(1));
+        l.push_rows(&[Value::int(10)]);
+        l.push_rows(&[Value::int(20)]);
     }
     db.insert("r", &[Value::str("y"), Value::int(2)]).unwrap();
     log.sync().unwrap();
@@ -186,9 +190,9 @@ fn bulk_load_without_its_end_record_is_discarded_whole() {
         db.insert("r", &[Value::int(1), Value::int(2)]).unwrap();
         log.sync().unwrap();
         let oracle_pre = state(&db);
-        let mut l = db.loader(RelId(1));
-        l.push(&[Value::int(10)]);
-        l.push(&[Value::int(20)]);
+        let mut l = db.bulk_loader(RelId(1));
+        l.push_rows(&[Value::int(10)]);
+        l.push_rows(&[Value::int(20)]);
         let before_end = log.unsynced_bytes();
         drop(l); // appends the BulkEnd record
         let end_bytes = log.unsynced_bytes() - before_end;
@@ -291,4 +295,215 @@ fn records_beyond_a_sequence_gap_are_discarded() {
     // And the cut is durable: a second recovery sees a clean log.
     let (_, report2) = recover(&*log, catalog()).unwrap();
     assert_eq!(report2.discarded, 0);
+}
+
+// --- Fail-stop WAL writer --------------------------------------------------
+
+/// A [`LogStorage`] over a [`MemLog`] whose appends and fsyncs fail on
+/// demand — the ENOSPC / EIO a real device returns.
+#[derive(Debug)]
+struct FailingLog {
+    inner: Arc<MemLog>,
+    appends: AtomicU64,
+    /// The 1-based append call that fails (0: none).
+    fail_append: AtomicU64,
+    /// Every fsync fails while this is set.
+    fail_sync: AtomicBool,
+}
+
+impl FailingLog {
+    fn new(inner: Arc<MemLog>) -> Self {
+        FailingLog {
+            inner,
+            appends: AtomicU64::new(0),
+            fail_append: AtomicU64::new(0),
+            fail_sync: AtomicBool::new(false),
+        }
+    }
+}
+
+impl LogStorage for FailingLog {
+    fn append(&self, stream: &str, bytes: &[u8]) -> io::Result<()> {
+        let n = self.appends.fetch_add(1, Ordering::SeqCst) + 1;
+        if n == self.fail_append.load(Ordering::SeqCst) {
+            return Err(io::Error::other("injected append failure"));
+        }
+        self.inner.append(stream, bytes)
+    }
+    fn sync(&self) -> io::Result<()> {
+        if self.fail_sync.load(Ordering::SeqCst) {
+            return Err(io::Error::other("injected fsync failure"));
+        }
+        self.inner.sync()
+    }
+    fn read(&self, stream: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(stream)
+    }
+    fn streams(&self) -> io::Result<Vec<String>> {
+        self.inner.streams()
+    }
+    fn truncate(&self, stream: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(stream, len)
+    }
+    fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write_blob(name, bytes)
+    }
+    fn read_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        self.inner.read_blob(name)
+    }
+    fn list_blobs(&self) -> io::Result<Vec<String>> {
+        self.inner.list_blobs()
+    }
+    fn delete_blob(&self, name: &str) -> io::Result<()> {
+        self.inner.delete_blob(name)
+    }
+}
+
+/// A database writing through a deferred `SyncPolicy::Always` writer over
+/// `log` — the serving tier's group-commit configuration.
+fn wired_deferred(log: &Arc<FailingLog>) -> (Database, Arc<WalWriter>) {
+    let writer = Arc::new(WalWriter::new(
+        log.clone() as Arc<dyn LogStorage>,
+        SyncPolicy::Always,
+        1,
+    ));
+    writer.set_deferred(true);
+    let mut db = Database::new(catalog());
+    db.set_wal(Some(writer.clone()));
+    (db, writer)
+}
+
+#[test]
+fn failed_append_poisons_the_writer_and_every_ok_ack_survives() {
+    let mem = Arc::new(MemLog::new());
+    let log = Arc::new(FailingLog::new(mem.clone()));
+    log.fail_append.store(4, Ordering::SeqCst);
+    let (mut db, writer) = wired_deferred(&log);
+    let mut acks = Vec::new();
+    let mut acked_rows = Vec::new();
+    for i in 0..6 {
+        db.insert_maintained("s", &[Value::int(i)]).unwrap();
+        let ok = writer.ack().is_ok();
+        if ok {
+            acked_rows.push(vec![Value::int(i)]);
+        }
+        acks.push(ok);
+    }
+    // The 4th append failed: its ack and every later one report it —
+    // none is acknowledged over the hole in the log.
+    assert_eq!(acks, [true, true, true, false, false, false]);
+    assert!(writer.sync().is_err(), "sync reports the failure too");
+    assert!(writer.sync_through(0).is_err());
+
+    mem.crash(0);
+    let (recovered, _) = recover(&*mem, catalog()).unwrap();
+    let rows: Vec<Vec<Value>> = recovered.value_rows(RelId(1)).collect();
+    assert_eq!(rows, acked_rows, "every Ok-acked row is recovered");
+}
+
+#[test]
+fn failed_fsync_is_never_retried_into_a_false_success() {
+    let mem = Arc::new(MemLog::new());
+    let log = Arc::new(FailingLog::new(mem.clone()));
+    let (mut db, writer) = wired_deferred(&log);
+    db.insert_maintained("s", &[Value::int(1)]).unwrap();
+    writer.ack().unwrap();
+
+    log.fail_sync.store(true, Ordering::SeqCst);
+    db.insert_maintained("s", &[Value::int(2)]).unwrap();
+    assert!(writer.ack().is_err(), "the failed fsync fails its ack");
+
+    // The device would now report success — but the kernel may have
+    // dropped the pages the failed fsync covered, so a fresh fsync must
+    // not be allowed to acknowledge anything.
+    log.fail_sync.store(false, Ordering::SeqCst);
+    db.insert_maintained("s", &[Value::int(3)]).unwrap();
+    assert!(writer.ack().is_err(), "the next ack still fails");
+    assert!(writer.sync().is_err());
+    assert_eq!(mem.syncs(), 1, "no fsync was attempted after the failure");
+}
+
+// --- Replay input checks ---------------------------------------------------
+
+/// Writes hand-built records onto the streams they belong to, synced, and
+/// returns recovery's verdict over them.
+fn recover_records(
+    records: &[WalRecord],
+) -> std::result::Result<(Database, RecoveryReport), RecoverError> {
+    let log = MemLog::new();
+    for rec in records {
+        let stream = rec.body.rel().map_or(META_STREAM.to_string(), rel_stream);
+        let mut framed = Vec::new();
+        append_frame(&mut framed, &rec.encode());
+        log.append(&stream, &framed).unwrap();
+    }
+    log.sync().unwrap();
+    recover(&log, catalog())
+}
+
+/// Raw cell words: a symbol that was never interned, and a small int.
+fn ghost_sym() -> u64 {
+    Cell::from_sym(Sym(0)).raw()
+}
+
+fn small(i: i64) -> u64 {
+    Cell::from_small_int(i).unwrap().raw()
+}
+
+/// A single-row record, then the same cells as the only chunk of a
+/// complete bulk load.
+fn row_and_bulk(rel: u32, cells: Vec<u64>) -> [Vec<WalRecord>; 2] {
+    let rec = |seq, body| WalRecord { seq, body };
+    [
+        vec![rec(
+            1,
+            RecordBody::InsertMaintained {
+                commit: 1,
+                rel,
+                cells: cells.clone(),
+            },
+        )],
+        vec![
+            rec(1, RecordBody::BulkBegin { commit: 1, rel }),
+            rec(
+                2,
+                RecordBody::BulkChunk {
+                    rel,
+                    rows: 1,
+                    cells,
+                },
+            ),
+            rec(3, RecordBody::BulkEnd { rel }),
+        ],
+    ]
+}
+
+#[test]
+fn replay_rejects_cells_that_name_a_never_interned_id() {
+    for records in row_and_bulk(0, vec![ghost_sym(), small(1)]) {
+        let err = recover_records(&records).unwrap_err();
+        assert!(matches!(err, RecoverError::Replay(_)), "{err}");
+    }
+    // The same shapes with only inline cells replay fine.
+    for records in row_and_bulk(0, vec![small(7), small(1)]) {
+        let (db, report) = recover_records(&records).unwrap();
+        assert_eq!(db.table(RelId(0)).len(), 1);
+        assert_eq!(report.last_seq, records.len() as u64);
+    }
+}
+
+#[test]
+fn replay_rejects_cells_of_the_wrong_arity() {
+    for records in row_and_bulk(0, vec![small(1)]) {
+        let err = recover_records(&records).unwrap_err();
+        assert!(matches!(err, RecoverError::Replay(_)), "{err}");
+    }
+}
+
+#[test]
+fn replay_rejects_records_naming_an_out_of_range_relation() {
+    for records in row_and_bulk(7, vec![small(1)]) {
+        let err = recover_records(&records).unwrap_err();
+        assert!(matches!(err, RecoverError::Replay(_)), "{err}");
+    }
 }

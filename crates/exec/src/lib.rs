@@ -10,10 +10,11 @@
 //!   [`eval_dq()`].
 //! * [`pipeline`] hosts the **single** physical-operator implementation
 //!   (fetch / filter / hash-join / project over interned row batches, with
-//!   unified metering) that all of the above share. Its hot path is the
-//!   compiled-program interpreter ([`pipeline::run_program`]) over
+//!   unified metering) that all of the above share. Its one compiled
+//!   executor — the hot path — is the columnar program interpreter
+//!   ([`pipeline::run_program_columnar`]) over
 //!   [`bcq_core::program::OpProgram`]s; the query-walking operators remain
-//!   as the differential oracle
+//!   as the independent differential oracle
 //!   ([`eval_dq::eval_dq_interpreted`] / [`baseline::baseline_interpreted`]).
 
 pub mod baseline;
@@ -33,11 +34,10 @@ pub use eval_dq::{
 };
 pub use incremental::{DeltaStats, IncrementalAnswer};
 pub use pipeline::{
-    filter_program_batches, filter_program_columnar, project_program, run_join_partials,
-    run_join_pipeline, run_program, run_program_columnar, run_program_columnar_partials,
-    run_program_columnar_prefiltered, run_program_partials, run_program_prefiltered,
-    semijoin_program, semijoin_program_columnar, Batch, BudgetExhausted, ExecContext, Fetch,
-    FetchSource, FilterAtom, HashJoin, ParamEnv, Project, SemiJoin,
+    filter_program_columnar, run_join_partials, run_join_pipeline, run_program_columnar,
+    run_program_columnar_partials, run_program_columnar_prefiltered, semijoin_program_columnar,
+    Batch, BudgetExhausted, ExecContext, Fetch, FetchSource, FilterAtom, HashJoin, ParamEnv,
+    Project, SemiJoin,
 };
 pub use ra::{eval_ra, eval_ra_prepared, PreparedRa, RaOutcome};
 pub use results::ResultSet;

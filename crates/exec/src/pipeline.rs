@@ -26,15 +26,17 @@
 //!
 //! ## Compiled programs vs the query-walking oracle
 //!
-//! The hot path is the **program interpreter**: [`run_program`] /
-//! [`run_program_partials`] execute a compiled
-//! [`bcq_core::program::OpProgram`] — filter checks, join schedule, key
-//! permutations and projection map all resolved to positions at prepare
-//! time — so a request does zero planning-shaped work. The query-walking
-//! operators ([`FilterAtom`], [`HashJoin`], [`SemiJoin`], [`Project`],
-//! composed by [`run_join_pipeline`]) re-derive that shape from the query
-//! per call; they survive as the **compile-from oracle** the differential
-//! tests compare the interpreter against.
+//! The hot path is the **columnar program interpreter**:
+//! [`run_program_columnar`] and its `_partials` / `_prefiltered` variants
+//! execute a compiled [`bcq_core::program::OpProgram`] — filter checks,
+//! join schedule, key permutations and projection map all resolved to
+//! positions at prepare time — over column-major [`ColumnBatch`]es, so a
+//! request does zero planning-shaped work. It is the only compiled
+//! executor. The query-walking operators ([`FilterAtom`], [`HashJoin`],
+//! [`SemiJoin`], [`Project`], composed by [`run_join_pipeline`]) re-derive
+//! that shape from the query per call; they survive as the independent
+//! **oracle** the differential tests compare the interpreter against —
+//! independent because they never consult the compiler.
 
 use crate::results::ResultSet;
 use bcq_core::fx::FxHashMap;
@@ -217,10 +219,10 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Charges a whole batch of intermediate rows at once — the columnar
-    /// join's per-bucket boundary. Totals match the row-at-a-time path's
+    /// join's per-bucket boundary. Totals match the query-walking join's
     /// one-by-one charging exactly; on budget exhaustion only the verdict
     /// is guaranteed to match (the meter may overshoot by at most one
-    /// bucket, where the row path stops at the first offending row).
+    /// bucket, where the row-wise join stops at the first offending row).
     #[inline]
     fn charge_intermediate_n(&mut self, n: u64) -> Result<(), BudgetExhausted> {
         self.meter.intermediate_rows += n;
@@ -804,7 +806,7 @@ pub fn run_join_partials(
 }
 
 // ---------------------------------------------------------------------------
-// The compiled-program interpreter: the per-request hot path.
+// The columnar interpreter: vectorized batch execution over `ColumnBatch`.
 // ---------------------------------------------------------------------------
 
 /// Resolves every pin of a program to an interned cell, once per request.
@@ -822,238 +824,13 @@ fn resolve_pins(prog: &OpProgram, ctx: &ExecContext<'_>) -> Vec<Option<Cell>> {
         .collect()
 }
 
-/// Applies the compiled per-atom filters to every batch:
-/// constant/parameter checks and intra-atom equalities, all pre-resolved
-/// to row positions, with the program's pins resolved **once** for the
-/// whole set. Behaviorally identical to [`FilterAtom`] (asserted by the
-/// pipeline's differential tests), minus the per-request predicate walk
-/// and `O(cols²)` class scan.
-pub fn filter_program_batches(prog: &OpProgram, ctx: &ExecContext<'_>, batches: &mut [Batch]) {
-    let resolved = resolve_pins(prog, ctx);
-    for batch in batches {
-        filter_resolved(prog, &resolved, batch);
-    }
-}
-
-fn filter_resolved(prog: &OpProgram, resolved: &[Option<Cell>], batch: &mut Batch) {
-    let f = &prog.filters[batch.atom];
-    debug_assert_eq!(batch.cols, prog.atom_cols[batch.atom], "batch layout");
-    if f.is_empty() {
-        return;
-    }
-    batch.rows.retain(|row| {
-        f.checks
-            .iter()
-            .all(|&(i, pin)| Some(row[i]) == resolved[pin])
-            && f.eqs.iter().all(|&(i, j)| row[i] == row[j])
-    });
-}
-
-/// Runs the compiled semijoin prefilter: every pass reduces one batch's
-/// candidates to rows whose shared-class key appears in another batch,
-/// using the position pairs hoisted into the program at compile time
-/// (the query-walking [`SemiJoin`] rediscovers them per request in an
-/// `O(cols²)` loop per atom pair). Dropped rows are charged as
-/// intermediate work, exactly like the oracle.
-pub fn semijoin_program(prog: &OpProgram, batches: &mut [Batch], ctx: &mut ExecContext<'_>) {
-    use bcq_core::fx::FxHashSet;
-    for pass in prog.semijoins() {
-        let keys: FxHashSet<RowBuf> = batches[pass.source]
-            .rows
-            .iter()
-            .map(|row| pass.pairs.iter().map(|&(_, pj)| row[pj]).collect())
-            .collect();
-        let target = &mut batches[pass.target];
-        let before = target.rows.len();
-        target.rows.retain(|row| {
-            let key: RowBuf = pass.pairs.iter().map(|&(pi, _)| row[pi]).collect();
-            keys.contains(key.as_slice())
-        });
-        ctx.meter.intermediate_rows += (before - target.rows.len()) as u64;
-    }
-}
-
-/// Decodes the final answer through the program's precompiled projection
-/// map (class per output column — no per-row `class_of` lookups).
-pub fn project_program(
-    prog: &OpProgram,
-    symbols: &SymbolTable,
-    partials: &[Box<[Option<Cell>]>],
-) -> ResultSet {
-    let mut out = Vec::with_capacity(partials.len());
-    for partial in partials {
-        let row: Box<[Value]> = prog
-            .proj_classes
-            .iter()
-            .map(|&c| symbols.decode(partial[c].expect("projection class is bound")))
-            .collect();
-        out.push(row);
-    }
-    ResultSet::from_rows(out)
-}
-
-/// Interprets a compiled program end to end: compiled filters, the
-/// compiled join schedule, compiled projection. The program's contract
-/// (batch layouts matching `atom_cols`, every slot bound) is documented in
-/// [`bcq_core::program`]; batches must arrive indexed by atom
-/// (`batches[i].atom == i`), as every executor produces them.
-pub fn run_program(
-    prog: &OpProgram,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<ResultSet, BudgetExhausted> {
-    let partials = run_program_partials(prog, batches, ctx)?;
-    if partials.is_empty() {
-        return Ok(ResultSet::empty());
-    }
-    Ok(project_program(prog, ctx.db.symbols(), &partials))
-}
-
-/// [`run_program`] stopped before projection: the surviving `Σ_Q` class
-/// assignments (the derivations incremental maintenance stores). This is
-/// the compiled counterpart of [`run_join_partials`] — same inputs, same
-/// partials, none of the per-request shape derivation.
-pub fn run_program_partials(
-    prog: &OpProgram,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-    run_program_partials_impl(prog, batches, ctx, true)
-}
-
-/// [`run_program`] for batches the caller already passed through
-/// [`filter_program_batches`]: skips the (idempotent but not free) second
-/// filter pass and goes straight to the seed + join schedule. The
-/// baseline uses this after its filter/prune/reschedule sequence.
-pub fn run_program_prefiltered(
-    prog: &OpProgram,
-    batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<ResultSet, BudgetExhausted> {
-    let partials = run_program_partials_impl(prog, batches, ctx, false)?;
-    if partials.is_empty() {
-        return Ok(ResultSet::empty());
-    }
-    Ok(project_program(prog, ctx.db.symbols(), &partials))
-}
-
-/// Seeds one partial assignment (one slot per class) from the compiled
-/// pins: `None` means the answer is empty before any row is touched — a
-/// pin resolved to nothing, or two pins of one class disagree.
-fn seed_from_pins(prog: &OpProgram, resolved: &[Option<Cell>]) -> Option<Vec<Option<Cell>>> {
-    let mut seed: Vec<Option<Cell>> = vec![None; prog.num_classes];
-    for sp in &prog.seeds {
-        let mut pinned: Option<Cell> = None;
-        for &pid in &sp.pins {
-            match resolved[pid] {
-                Some(cell) => match pinned {
-                    None => pinned = Some(cell),
-                    Some(prev) if prev == cell => {}
-                    Some(_) => return None,
-                },
-                None => return None,
-            }
-        }
-        seed[sp.class] = pinned;
-    }
-    Some(seed)
-}
-
-fn run_program_partials_impl(
-    prog: &OpProgram,
-    mut batches: Vec<Batch>,
-    ctx: &mut ExecContext<'_>,
-    apply_filters: bool,
-) -> Result<Vec<Box<[Option<Cell>]>>, BudgetExhausted> {
-    debug_assert_eq!(batches.len(), prog.num_atoms);
-    debug_assert!(batches.iter().enumerate().all(|(i, b)| b.atom == i));
-    let resolved = resolve_pins(prog, ctx);
-
-    // Compiled per-atom filters; any batch emptying out empties the answer.
-    for batch in &mut batches {
-        if apply_filters {
-            filter_resolved(prog, &resolved, batch);
-        }
-        if batch.rows.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-
-    // Seed the class slots from the compiled pins. A pin that resolves to
-    // nothing, or two pins of one class disagreeing, empties the answer
-    // before any row is touched.
-    let Some(seed) = seed_from_pins(prog, &resolved) else {
-        return Ok(Vec::new());
-    };
-    let mut partials: Vec<Box<[Option<Cell>]>> = vec![seed.into_boxed_slice()];
-
-    // The compiled join schedule: batch order, shared classes and key
-    // permutations are all precomputed; each step is pure hashing/merging.
-    for step in &prog.join_steps {
-        let batch = &batches[step.atom];
-        let classes = &prog.col_classes[step.atom];
-
-        // Hash the batch rows on the precompiled key positions (linked-list
-        // buckets through one `next_row` array — no per-key allocation).
-        const NIL: u32 = u32::MAX;
-        let mut bucket_head: FxHashMap<RowBuf, u32> = FxHashMap::default();
-        let mut next_row: Vec<u32> = Vec::with_capacity(batch.rows.len());
-        for (ri, row) in batch.rows.iter().enumerate() {
-            let key: RowBuf = step.shared_pos.iter().map(|&p| row[p]).collect();
-            let head = bucket_head.entry(key).or_insert(NIL);
-            next_row.push(*head);
-            *head = ri as u32;
-        }
-
-        let mut next: Vec<Box<[Option<Cell>]>> = Vec::new();
-        for partial in &partials {
-            let key: RowBuf = step
-                .shared_classes
-                .iter()
-                .map(|&c| partial[c].expect("shared class is bound"))
-                .collect();
-            let Some(&head) = bucket_head.get(key.as_slice()) else {
-                continue;
-            };
-            let mut cursor = head;
-            while cursor != NIL {
-                let ri = cursor as usize;
-                cursor = next_row[ri];
-                let row = &batch.rows[ri];
-                let mut merged = partial.clone();
-                let mut ok = true;
-                for (pos, &c) in classes.iter().enumerate() {
-                    match merged[c] {
-                        Some(v) if v != row[pos] => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => merged[c] = Some(row[pos]),
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                ctx.charge_intermediate()?;
-                next.push(merged);
-            }
-        }
-        partials = next;
-        if partials.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    Ok(partials)
-}
-
-// ---------------------------------------------------------------------------
-// The columnar interpreter: vectorized batch execution over `ColumnBatch`.
-// ---------------------------------------------------------------------------
-
-/// Columnar [`filter_program_batches`]: the same compiled checks, executed
-/// as predicate sweeps over single columns that shrink each batch's
-/// selection vector in place — no row is ever materialized or moved.
+/// Applies the compiled per-atom filters — constant/parameter checks and
+/// intra-atom equalities, pre-resolved to column positions, with the
+/// program's pins resolved **once** for the whole set — as predicate
+/// sweeps over single columns that shrink each batch's selection vector in
+/// place: no row is ever materialized or moved. Behaviorally identical to
+/// [`FilterAtom`] (asserted by the pipeline's differential tests), minus
+/// the per-request predicate walk and `O(cols²)` class scan.
 pub fn filter_program_columnar(
     prog: &OpProgram,
     ctx: &ExecContext<'_>,
@@ -1087,10 +864,14 @@ fn filter_columnar_resolved(prog: &OpProgram, resolved: &[Option<Cell>], batch: 
     }
 }
 
-/// Columnar [`semijoin_program`]: each pass gathers the source batch's
+/// Runs the compiled semijoin prefilter: every pass reduces one batch's
+/// candidates to rows whose shared-class key appears in another batch,
+/// using the position pairs hoisted into the program at compile time (the
+/// query-walking [`SemiJoin`] rediscovers them per request in an
+/// `O(cols²)` loop per atom pair). Each pass gathers the source batch's
 /// live key cells into a set and sweeps the target's selection vector
-/// against it. Dropped rows are charged as intermediate work, exactly like
-/// the row-at-a-time pass and the query-walking oracle.
+/// against it; dropped rows are charged as intermediate work, exactly like
+/// the oracle.
 pub fn semijoin_program_columnar(
     prog: &OpProgram,
     batches: &mut [ColumnBatch],
@@ -1186,11 +967,16 @@ pub(crate) struct ColumnarScratch {
     chain: Vec<u32>,
 }
 
-/// [`run_program`] over column-major batches — the vectorized hot path.
-/// Answers and meter charges are identical to the row-at-a-time
-/// interpreter and the query-walking oracle (asserted by the
-/// pipeline-equivalence suite); internally partials live in one flat
-/// ping-pong buffer and no intermediate row is ever materialized.
+/// Interprets a compiled program end to end over column-major batches —
+/// compiled filters, the compiled join schedule, compiled projection.
+/// This is the only compiled executor: every production path runs it.
+/// The program's contract (batch layouts matching `atom_cols`, every slot
+/// bound) is documented in [`bcq_core::program`]; batches must arrive
+/// indexed by atom (`batches[i].atom() == i`), as every executor produces
+/// them. Answers agree with the query-walking oracle
+/// ([`run_join_pipeline`]; asserted by the pipeline-equivalence suite);
+/// internally partials live in one flat ping-pong buffer and no
+/// intermediate row is ever materialized.
 pub fn run_program_columnar(
     prog: &OpProgram,
     mut batches: Vec<ColumnBatch>,
@@ -1203,8 +989,9 @@ pub fn run_program_columnar(
 }
 
 /// [`run_program_columnar`] stopped before projection, re-boxed per
-/// partial — the boundary where incremental maintenance's derivation
-/// format ([`run_program_partials`]'s) is preserved bit for bit.
+/// partial: the surviving `Σ_Q` class assignments (the derivations
+/// incremental maintenance stores), in the same format as
+/// [`run_join_partials`].
 pub fn run_program_columnar_partials(
     prog: &OpProgram,
     mut batches: Vec<ColumnBatch>,
@@ -1358,8 +1145,8 @@ pub(crate) fn run_program_columnar_impl<'s, P: Probe>(
     let stride = prog.num_classes;
 
     for step in &prog.join_steps {
-        // Row-local duplicate-class sweep: exactly the rows the
-        // row-at-a-time class-walk merge rejects (and never charges).
+        // Row-local duplicate-class sweep: exactly the rows the oracle
+        // join's class-walk merge rejects (and never charges).
         if P::ENABLED {
             probe.begin();
         }
@@ -1840,148 +1627,13 @@ mod tests {
         assert_eq!(ctx.meter.intermediate_rows, 1);
     }
 
-    #[test]
-    fn compiled_program_matches_oracle_join() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 20], &[3, 30]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[20, 200], &[99, 999]]),
-                },
-            ]
-        };
-        let db = dummy_db();
-        let mut cctx = ExecContext::new(&db, None);
-        let compiled = run_program(&prog, make(), &mut cctx).unwrap();
-        let mut ictx = ExecContext::new(&db, None);
-        let interpreted = run_join_pipeline(&q, &sigma, make(), &mut ictx).unwrap();
-        assert_eq!(compiled, interpreted);
-        assert_eq!(
-            cctx.meter.intermediate_rows, ictx.meter.intermediate_rows,
-            "same batch sizes, same merge work"
-        );
-    }
-
-    #[test]
-    fn compiled_program_respects_budget() {
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let big: Vec<RowBuf> = (0..100).map(|i| rows(&[&[i, i]]).pop().unwrap()).collect();
-        let batches = vec![
-            Batch {
-                atom: 0,
-                cols: vec![0, 1],
-                rows: big.clone(),
-            },
-            Batch {
-                atom: 1,
-                cols: vec![0, 1],
-                rows: big,
-            },
-        ];
-        let db = dummy_db();
-        let mut ctx = ExecContext::new(&db, Some(10));
-        assert_eq!(run_program(&prog, batches, &mut ctx), Err(BudgetExhausted));
-    }
-
-    #[test]
-    fn compiled_filter_matches_oracle() {
-        let cat = Catalog::from_names(&[("r", &["a", "b", "c"])]).unwrap();
-        let q = SpcQuery::builder(cat, "f")
-            .atom("r", "r")
-            .eq_const(("r", "a"), 1)
-            .eq(("r", "b"), ("r", "c"))
-            .project(("r", "b"))
-            .build()
-            .unwrap();
-        let sigma = Sigma::build(&q);
-        let prog = OpProgram::compile(&q, &sigma, &[vec![0, 1, 2]], None);
-        let data: &[&[i64]] = &[&[1, 5, 5], &[1, 5, 6], &[2, 7, 7], &[1, 9, 9]];
-        let db = dummy_db();
-        let ctx = ExecContext::new(&db, None);
-
-        let mut compiled = Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(data),
-        };
-        filter_program_batches(&prog, &ctx, std::slice::from_mut(&mut compiled));
-        let mut oracle = Batch {
-            atom: 0,
-            cols: vec![0, 1, 2],
-            rows: rows(data),
-        };
-        FilterAtom {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&ctx, &mut oracle);
-        assert_eq!(compiled.rows, oracle.rows);
-        assert_eq!(compiled.rows, rows(&[&[1, 5, 5], &[1, 9, 9]]));
-    }
-
-    #[test]
-    fn compiled_semijoin_matches_oracle_prefilter() {
-        // The satellite guarantee: the hoisted shared-column layout must
-        // reproduce the query-walking prefilter exactly — same surviving
-        // rows per batch, same intermediate-row charge.
-        let q = two_rel_query();
-        let sigma = Sigma::build(&q);
-        let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
-        let make = || {
-            vec![
-                Batch {
-                    atom: 0,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[1, 10], &[2, 99], &[3, 20], &[4, 20]]),
-                },
-                Batch {
-                    atom: 1,
-                    cols: vec![0, 1],
-                    rows: rows(&[&[10, 100], &[20, 200], &[55, 500]]),
-                },
-            ]
-        };
-        let db = dummy_db();
-        let mut cctx = ExecContext::new(&db, None);
-        let mut compiled = make();
-        semijoin_program(&prog, &mut compiled, &mut cctx);
-        let mut ictx = ExecContext::new(&db, None);
-        let mut oracle = make();
-        SemiJoin {
-            query: &q,
-            sigma: &sigma,
-        }
-        .apply(&mut oracle, &mut ictx);
-        for (c, o) in compiled.iter().zip(&oracle) {
-            assert_eq!(c.rows, o.rows, "atom {}", c.atom);
-        }
-        assert_eq!(cctx.meter.intermediate_rows, ictx.meter.intermediate_rows);
-        // And the pass actually pruned something, in both.
-        assert_eq!(compiled[0].rows.len(), 3);
-        assert_eq!(compiled[1].rows.len(), 2);
-    }
-
     /// Transposes a row-major test batch into the columnar layout.
     fn colbatch(b: &Batch) -> ColumnBatch {
         ColumnBatch::from_rows(b.atom, b.cols.clone(), b.rows.iter().map(|r| r.as_slice()))
     }
 
     #[test]
-    fn columnar_program_matches_row_interpreter() {
+    fn columnar_program_matches_oracle_join() {
         let q = two_rel_query();
         let sigma = Sigma::build(&q);
         let layouts = vec![vec![0, 1], vec![0, 1]];
@@ -2001,35 +1653,35 @@ mod tests {
             ]
         };
         let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program(&prog, make(), &mut rctx).unwrap();
+        let mut octx = ExecContext::new(&db, None);
+        let oracle = run_join_pipeline(&q, &sigma, make(), &mut octx).unwrap();
         let mut cctx = ExecContext::new(&db, None);
         let col_rs =
             run_program_columnar(&prog, make().iter().map(colbatch).collect(), &mut cctx).unwrap();
-        assert_eq!(col_rs, row_rs);
-        assert_eq!(cctx.meter, rctx.meter, "identical charges");
+        assert_eq!(col_rs, oracle);
+        assert_eq!(cctx.meter, octx.meter, "same join order, same charges");
         // And the partials boundary preserves the derivation format.
         let mut pctx = ExecContext::new(&db, None);
-        let col_parts =
+        let mut col_parts =
             run_program_columnar_partials(&prog, make().iter().map(colbatch).collect(), &mut pctx)
                 .unwrap();
         let mut qctx = ExecContext::new(&db, None);
-        let mut row_parts = run_program_partials(&prog, make(), &mut qctx).unwrap();
-        let mut col_sorted = col_parts;
-        col_sorted.sort();
-        row_parts.sort();
-        assert_eq!(col_sorted, row_parts);
+        let mut oracle_parts = run_join_partials(&q, &sigma, make(), &mut qctx).unwrap();
+        col_parts.sort();
+        oracle_parts.sort();
+        assert_eq!(col_parts, oracle_parts);
     }
 
     #[test]
     fn columnar_join_handles_duplicate_keys() {
         // Duplicate join-key values on both sides (including a fully
         // duplicated row): every pairing must be produced and charged
-        // exactly as the row-at-a-time interpreter does.
+        // exactly as the query-walking join does. The size hints give the
+        // program the oracle's smallest-batch-first join order.
         let q = two_rel_query();
         let sigma = Sigma::build(&q);
         let layouts = vec![vec![0, 1], vec![0, 1]];
-        let prog = OpProgram::compile(&q, &sigma, &layouts, None);
+        let prog = OpProgram::compile(&q, &sigma, &layouts, Some(&[4, 3]));
         let make = || {
             vec![
                 Batch {
@@ -2045,13 +1697,13 @@ mod tests {
             ]
         };
         let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program(&prog, make(), &mut rctx).unwrap();
+        let mut octx = ExecContext::new(&db, None);
+        let oracle = run_join_pipeline(&q, &sigma, make(), &mut octx).unwrap();
         let mut cctx = ExecContext::new(&db, None);
         let col_rs =
             run_program_columnar(&prog, make().iter().map(colbatch).collect(), &mut cctx).unwrap();
-        assert_eq!(col_rs, row_rs);
-        assert_eq!(cctx.meter, rctx.meter);
+        assert_eq!(col_rs, oracle);
+        assert_eq!(cctx.meter, octx.meter);
         // 3 rows key 10 × 2 matches + 1 row key 20 × 1 match, both steps.
         assert!(cctx.meter.intermediate_rows >= 7);
     }
@@ -2142,7 +1794,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_semijoin_matches_row_semijoin() {
+    fn columnar_semijoin_matches_oracle_prefilter() {
+        // The hoisted shared-column layout must reproduce the
+        // query-walking prefilter exactly — same surviving rows per batch,
+        // same intermediate-row charge.
         let q = two_rel_query();
         let sigma = Sigma::build(&q);
         let layouts = vec![vec![0, 1], vec![0, 1]];
@@ -2162,23 +1817,30 @@ mod tests {
             ]
         };
         let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let mut row_batches = make();
-        semijoin_program(&prog, &mut row_batches, &mut rctx);
+        let mut octx = ExecContext::new(&db, None);
+        let mut oracle = make();
+        SemiJoin {
+            query: &q,
+            sigma: &sigma,
+        }
+        .apply(&mut oracle, &mut octx);
         let mut cctx = ExecContext::new(&db, None);
         let mut col_batches: Vec<ColumnBatch> = make().iter().map(colbatch).collect();
         semijoin_program_columnar(&prog, &mut col_batches, &mut cctx);
-        for (c, r) in col_batches.iter().zip(&row_batches) {
-            assert_eq!(c.to_rows(), r.rows, "atom {}", c.atom());
+        for (c, o) in col_batches.iter().zip(&oracle) {
+            assert_eq!(c.to_rows(), o.rows, "atom {}", c.atom());
         }
-        assert_eq!(cctx.meter.intermediate_rows, rctx.meter.intermediate_rows);
+        assert_eq!(cctx.meter.intermediate_rows, octx.meter.intermediate_rows);
+        // And the pass actually pruned something, in both.
+        assert_eq!(col_batches[0].len(), 3);
+        assert_eq!(col_batches[1].len(), 2);
     }
 
     #[test]
     fn columnar_dup_class_sweep_matches_merge_conflicts() {
         // An unfiltered batch with an intra-atom repeated class reaches the
         // join (prefiltered entry point): the selection sweep must drop
-        // exactly the rows the row-at-a-time merge rejects, uncharged.
+        // exactly the rows the oracle join's merge rejects, uncharged.
         let cat = Catalog::from_names(&[("r", &["a", "b"])]).unwrap();
         let q = SpcQuery::builder(cat, "dup")
             .atom("r", "r")
@@ -2196,8 +1858,18 @@ mod tests {
             }]
         };
         let db = dummy_db();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program_prefiltered(&prog, make(), &mut rctx).unwrap();
+        let mut octx = ExecContext::new(&db, None);
+        let partials = HashJoin {
+            query: &q,
+            sigma: &sigma,
+        }
+        .run(db.symbols(), make(), &mut octx)
+        .unwrap();
+        let oracle = Project {
+            query: &q,
+            sigma: &sigma,
+        }
+        .apply(db.symbols(), &partials);
         let mut cctx = ExecContext::new(&db, None);
         let col_rs = run_program_columnar_prefiltered(
             &prog,
@@ -2205,9 +1877,9 @@ mod tests {
             &mut cctx,
         )
         .unwrap();
-        assert_eq!(col_rs, row_rs);
+        assert_eq!(col_rs, oracle);
         assert_eq!(col_rs.len(), 2);
-        assert_eq!(cctx.meter, rctx.meter);
+        assert_eq!(cctx.meter, octx.meter);
         assert_eq!(
             cctx.meter.intermediate_rows, 2,
             "conflict row never charged"
@@ -2281,14 +1953,22 @@ mod tests {
             .unwrap();
         let sigma = Sigma::build(&q);
         let prog = OpProgram::compile(&q, &sigma, &[vec![0]], None);
-        let batches = vec![Batch {
-            atom: 0,
-            cols: vec![0],
-            rows: rows(&[&[1], &[2]]),
-        }];
+        let make = || {
+            vec![Batch {
+                atom: 0,
+                cols: vec![0],
+                rows: rows(&[&[1], &[2]]),
+            }]
+        };
         let db = dummy_db();
         let mut ctx = ExecContext::new(&db, None);
-        let rs = run_program(&prog, batches, &mut ctx).unwrap();
+        let rs =
+            run_program_columnar(&prog, make().iter().map(colbatch).collect(), &mut ctx).unwrap();
         assert!(rs.is_empty());
+        let mut octx = ExecContext::new(&db, None);
+        assert_eq!(
+            rs,
+            run_join_pipeline(&q, &sigma, make(), &mut octx).unwrap()
+        );
     }
 }

@@ -34,8 +34,8 @@
 //!    mirrors, never across index maintenance or I/O.
 //!
 //! When snapshots are outstanding the writer prepares the new shard *off*
-//! the commit lock ([`Database::prepare_insert_maintained`]); otherwise it
-//! mutates in place (uniquely owned shard — cheapest path). Either way
+//! the commit lock ([`Database::prepare_write`]); otherwise it mutates in
+//! place (uniquely owned shard — cheapest path). Either way
 //! the WAL record is appended inside the commit section, so log order
 //! equals commit order; the **fsync happens after every lock is
 //! released**, shared between concurrently committing writers (group
@@ -61,7 +61,7 @@ use bcq_exec::{
     baseline, eval_dq_profiled, eval_dq_with, BaselineMode, BaselineOptions, BaselineOutcome,
     IncrementalAnswer, ParamEnv, PreparedRa, ResultSet,
 };
-use bcq_storage::{BulkLoader, Database, IngestStats, Meter, WalSink};
+use bcq_storage::{BulkLoader, Database, IngestStats, Meter, WalSink, WriteKind};
 use bcq_telemetry::{LaneKind, MetricsRegistry, MetricsSnapshot, OpProfile, Phase};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -546,8 +546,10 @@ impl Server {
     /// the index builds declared by `access` are themselves logged, so the
     /// next `open` replays them. With group commit
     /// ([`SyncPolicy::EveryOps`]) the tail of unsynced writes is flushed by
-    /// [`Server::wal_sync`] or [`Server::checkpoint`]; WAL I/O errors are
-    /// stashed and surfaced by those same calls.
+    /// [`Server::wal_sync`] or [`Server::checkpoint`]. The WAL fails stop:
+    /// after its first append or fsync error, every later write ack,
+    /// `wal_sync` and checkpoint returns [`ServiceError::Durability`] until
+    /// the server is reopened.
     pub fn open(
         storage: Arc<dyn LogStorage>,
         access: AccessSchema,
@@ -617,8 +619,9 @@ impl Server {
         Ok((server, report, ids))
     }
 
-    /// Flushes the WAL's group-commit tail and surfaces any stashed WAL
-    /// I/O error. A no-op on a server without durability. Call before
+    /// Flushes the WAL's group-commit tail; fails once the WAL writer is
+    /// poisoned by an earlier I/O error. A no-op on a server without
+    /// durability. Call before
     /// acknowledging a batch under [`SyncPolicy::EveryOps`] /
     /// [`SyncPolicy::Manual`].
     pub fn wal_sync(&self) -> crate::Result<()> {
@@ -1156,18 +1159,41 @@ impl Server {
     }
 
     /// Inserts one row through the **concurrent** maintained write path
-    /// (see the module docs' lock order). The writer latches only
-    /// `rel_name`'s relation, so writers on disjoint relations proceed in
-    /// parallel end to end: when snapshots are outstanding, the new shard
-    /// — indices maintained — is prepared *off* the commit lock
-    /// ([`Database::prepare_insert_maintained`]) and the commit section is
-    /// one pointer swap plus the epoch-mirror refresh. Affected views
-    /// apply their bounded deltas under their own slot locks; the WAL
-    /// fsync (group commit, shared with concurrent writers) is waited on
-    /// only after every lock is released. Cached plans stay valid (their
-    /// indices were maintained, which the next prepare's relation-scoped
-    /// revalidation confirms).
+    /// (see the module docs' lock order) and returns its row id. The
+    /// writer latches only `rel_name`'s relation, so writers on disjoint
+    /// relations proceed in parallel; views reading the relation apply
+    /// their bounded deltas, and the WAL fsync (group commit, shared with
+    /// concurrent writers) is waited on only after every lock is released.
+    /// Cached plans stay valid (their indices were maintained, which the
+    /// next prepare's relation-scoped revalidation confirms).
     pub fn insert(&self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
+        Ok(self
+            .write(WriteKind::Insert, rel_name, row)?
+            .expect("an insert always lands"))
+    }
+
+    /// Deletes one copy of `row` through the same concurrent maintained
+    /// write path as [`Server::insert`]: the index-fresh replacement shard
+    /// (tombstone-free swap-remove + posting fix-up) is published under a
+    /// new epoch — readers holding snapshots taken before the delete still
+    /// see the old rows — and every view reading the relation applies its
+    /// support-counted retraction delta. Returns `false` — with no epoch
+    /// bump and no WAL traffic — if no copy of `row` is stored.
+    pub fn delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
+        Ok(self.write(WriteKind::Delete, rel_name, row)?.is_some())
+    }
+
+    /// The one maintained single-row write routine behind
+    /// [`Server::insert`] and [`Server::delete`] (see the module docs'
+    /// lock order). The writer latches only `rel_name`'s relation, so
+    /// writers on disjoint relations proceed in parallel end to end: the
+    /// commit section is one pointer swap (or, with no snapshots
+    /// outstanding, the in-place write) plus the epoch-mirror refresh.
+    /// Affected views apply their bounded deltas under their own slot
+    /// locks; the WAL fsync (group commit, shared with concurrent writers)
+    /// is waited on only after every lock is released. Returns the row id
+    /// the write landed on, or `None` when a delete found no copy.
+    fn write(&self, kind: WriteKind, rel_name: &str, row: &[Value]) -> crate::Result<Option<u32>> {
         let write_start = Instant::now();
         let rel = self.access.catalog().require_rel(rel_name)?;
         // Shared on the view registry: excludes bulk writes/checkpoints,
@@ -1186,23 +1212,27 @@ impl Server {
         // Staleness is judged against the pre-write state: a view left
         // behind by an earlier out-of-band write must stay stale (and
         // recompute lazily) — applying this delta and stamping it current
-        // would mask the rows it never saw. (Skipped entirely when no
-        // affected views exist: the common serving write path.)
+        // would mask the rows it never saw. (Checked before we know whether
+        // a delete finds a row; skipped entirely when no affected views
+        // exist: the common serving write path.)
         let stale_before: Vec<bool> = if slots.is_empty() {
             Vec::new()
         } else {
             let pre = self.shared.snapshot();
             slots.iter().map(|v| v.stale(&pre)).collect()
         };
-        let rid = self.commit_insert(rel_name, row)?;
+        let rid = self.commit_write(kind, rel_name, row)?;
         let mut deltas = 0u64;
-        if !slots.is_empty() {
+        if rid.is_some() && !slots.is_empty() {
             let snap = self.shared.snapshot();
             for (v, was_stale) in slots.iter_mut().zip(stale_before) {
                 if was_stale {
                     continue;
                 }
-                v.answer.on_insert(&snap, rel, row)?;
+                match kind {
+                    WriteKind::Insert => v.answer.on_insert(&snap, rel, row)?,
+                    WriteKind::Delete => v.answer.on_delete(&snap, rel, row)?,
+                };
                 v.refresh_stamps(&snap);
                 deltas += 1;
             }
@@ -1210,123 +1240,56 @@ impl Server {
         drop(slots);
         drop(latch);
         drop(views);
-        // The WAL record was appended inside the commit section (log
-        // order = commit order); the fsync that makes it durable is
-        // shared with concurrent writers and waited on lock-free.
-        self.wal_ack()?;
-        self.metrics
-            .record_write(true, dur_ns(write_start.elapsed()), deltas);
+        if rid.is_some() {
+            // The WAL record was appended inside the commit section (log
+            // order = commit order); the fsync that makes it durable is
+            // shared with concurrent writers and waited on lock-free.
+            self.wal_ack()?;
+            self.metrics.record_write(
+                kind == WriteKind::Insert,
+                dur_ns(write_start.elapsed()),
+                deltas,
+            );
+        }
         Ok(rid)
     }
 
-    /// The commit half of [`Server::insert`]: prepared off the commit
-    /// lock when snapshots are outstanding, in place (uniquely owned
-    /// shard — cheapest) otherwise. The caller holds `rel_name`'s latch
-    /// and the view registry shared, which together exclude every other
-    /// writer that could touch this shard.
-    fn commit_insert(&self, rel_name: &str, row: &[Value]) -> crate::Result<u32> {
+    /// The commit half of [`Server::write`], and the one place that picks
+    /// between the two write paths: prepared off the commit lock when
+    /// snapshots are outstanding (an in-place write would copy-on-write
+    /// the shard inside the commit section anyway), in place otherwise —
+    /// a uniquely owned shard is mutated without any clone, the cheapest
+    /// path. The caller holds `rel_name`'s latch and the view registry
+    /// shared, which together exclude every other writer that could touch
+    /// this shard, so a prepared answer (including "no copy to delete")
+    /// stays valid until commit.
+    fn commit_write(
+        &self,
+        kind: WriteKind,
+        rel_name: &str,
+        row: &[Value],
+    ) -> crate::Result<Option<u32>> {
         if self.shared.has_snapshots() {
             let base = self.shared.snapshot();
-            if let Some(prep) = base.prepare_insert_maintained(rel_name, row)? {
+            if let Some(prep) = base.prepare_write(kind, rel_name, row)? {
                 drop(base);
                 let hold = Instant::now();
                 let rid = self.shared.write(|db| db.commit_prepared(prep));
                 self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-                return Ok(rid);
+                return Ok(Some(rid));
             }
-            // A row value missed the interner: encoding needs `&mut
-            // SymbolTable`, so this (first-appearance) write runs in
-            // place under the commit lock like the uncontended path.
+            // Nothing prepared: an insert whose row holds a value the
+            // interner has not seen (encoding needs `&mut SymbolTable`,
+            // so this first-appearance write runs in place under the
+            // commit lock) or a delete that found no copy (the in-place
+            // path reports the miss without touching any shard).
         }
         let hold = Instant::now();
         let rid = self
             .shared
-            .write(|db| db.insert_maintained(rel_name, row))?;
+            .write(|db| db.write_row(kind, rel_name, row, true))?;
         self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
         Ok(rid)
-    }
-
-    /// Deletes one copy of `row` through the concurrent maintained write
-    /// path (same lock order as [`Server::insert`]): the index-fresh
-    /// replacement shard (tombstone-free swap-remove + posting fix-up) is
-    /// prepared off the commit lock when snapshots are outstanding, the
-    /// epoch advances and a new snapshot is published — readers holding
-    /// snapshots taken before the delete still see the old rows — and
-    /// every view reading the relation applies its support-counted
-    /// retraction delta under its slot lock. Cached plans stay valid
-    /// (their indices were maintained; the next prepare's epoch
-    /// revalidation confirms them). Returns `false` — with no epoch bump
-    /// and no WAL traffic — if no copy of `row` is stored.
-    pub fn delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
-        let write_start = Instant::now();
-        let rel = self.access.catalog().require_rel(rel_name)?;
-        let views = read_recovered(&self.views);
-        let latch = self.shared.lock_rel(rel);
-        self.metrics
-            .record_lock_wait(latch.wait_ns, latch.contended);
-        let mut slots: Vec<MutexGuard<'_, View>> = views
-            .iter()
-            .filter(|s| s.rels.contains(&rel))
-            .map(|s| lock_recovered(&s.state))
-            .collect();
-        // As in [`Self::insert`]: a view already stale from an out-of-band
-        // write keeps its stale stamps and recomputes on the next read
-        // (checked pre-write, so it must run before we know whether the
-        // delete finds a row; skipped when no affected views exist).
-        let stale_before: Vec<bool> = if slots.is_empty() {
-            Vec::new()
-        } else {
-            let pre = self.shared.snapshot();
-            slots.iter().map(|v| v.stale(&pre)).collect()
-        };
-        let deleted = self.commit_delete(rel_name, row)?;
-        let mut deltas = 0u64;
-        if deleted && !slots.is_empty() {
-            let snap = self.shared.snapshot();
-            for (v, was_stale) in slots.iter_mut().zip(stale_before) {
-                if was_stale {
-                    continue;
-                }
-                v.answer.on_delete(&snap, rel, row)?;
-                v.refresh_stamps(&snap);
-                deltas += 1;
-            }
-        }
-        drop(slots);
-        drop(latch);
-        drop(views);
-        if deleted {
-            self.wal_ack()?;
-            self.metrics
-                .record_write(false, dur_ns(write_start.elapsed()), deltas);
-        }
-        Ok(deleted)
-    }
-
-    /// The commit half of [`Server::delete`] — see [`Server::commit_insert`].
-    /// A prepared delete that finds no copy of `row` commits nothing and
-    /// bumps no epoch (the relation latch keeps that answer stable).
-    fn commit_delete(&self, rel_name: &str, row: &[Value]) -> crate::Result<bool> {
-        if self.shared.has_snapshots() {
-            let base = self.shared.snapshot();
-            if let Some(prep) = base.prepare_delete_maintained(rel_name, row)? {
-                drop(base);
-                let hold = Instant::now();
-                self.shared.write(|db| db.commit_prepared(prep));
-                self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-                return Ok(true);
-            }
-            // Absent row (an uninterned value can't be stored either):
-            // nothing to commit. The latch is still held, so this verdict
-            // can't be invalidated by a concurrent same-relation writer.
-            return Ok(false);
-        }
-        let hold = Instant::now();
-        let deleted = self
-            .shared
-            .write(|db| db.delete_maintained(rel_name, row))?;
-        self.metrics.record_commit_hold(dur_ns(hold.elapsed()));
-        Ok(deleted)
     }
 
     /// Runs an arbitrary batch mutation (bulk load, manual index work) and
@@ -1348,8 +1311,9 @@ impl Server {
             r
         });
         // Best-effort group-commit wait (the signature has no error
-        // slot); a failed fsync stays stashed and surfaces to the next
-        // `wal_ack` / [`Server::wal_sync`] caller, which retries it.
+        // slot). A WAL failure is not retried: it poisons the writer, so
+        // every later write ack, [`Server::wal_sync`] and checkpoint
+        // reports it until the server is reopened.
         let _ = self.wal_ack();
         r
     }
@@ -2726,9 +2690,9 @@ mod tests {
         // Out-of-band bulk load of tagging: logged as a bracketed bulk.
         server.bulk_update(|db| {
             let rel = db.catalog().require_rel("tagging").unwrap();
-            let mut l = db.loader(rel);
-            l.push(&[Value::str("p1"), Value::str("u1"), Value::str("u0")]);
-            l.push(&[Value::str("p9"), Value::str("u1"), Value::str("u5")]);
+            let mut l = db.bulk_loader(rel);
+            l.push_rows(&[Value::str("p1"), Value::str("u1"), Value::str("u0")]);
+            l.push_rows(&[Value::str("p9"), Value::str("u1"), Value::str("u5")]);
         });
         assert_eq!(server.view_result(view).unwrap().len(), 1);
         let epoch = server.epoch();

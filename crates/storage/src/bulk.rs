@@ -1,12 +1,12 @@
-//! The chunked bulk-ingest fast path: [`BulkLoader`], returned by
-//! [`crate::Database::bulk_loader`].
+//! The chunked bulk-ingest path: [`BulkLoader`], returned by
+//! [`crate::Database::bulk_loader`] — the only bulk loader.
 //!
-//! The row-at-a-time [`crate::Loader`] pays four per-row costs that
-//! dominate at the tens-of-millions-of-rows scale: a per-cell
-//! encode/intern decision against the copy-on-write symbol table, a
-//! per-row `Vec` append, a per-row WAL record (framing + sequencing +
-//! crc), and — once indices are rebuilt — a per-row hash-map insertion.
-//! `BulkLoader` amortizes the first three over whole chunks:
+//! Loading row at a time pays four per-row costs that dominate at the
+//! tens-of-millions-of-rows scale: a per-cell encode/intern decision
+//! against the copy-on-write symbol table, a per-row `Vec` append, a
+//! per-row WAL record (framing + sequencing + crc), and — once indices
+//! are rebuilt — a per-row hash-map insertion. `BulkLoader` amortizes the
+//! first three over whole chunks:
 //!
 //! * **Batch symbol interning.** Each chunk column is encoded with one
 //!   read-only [`SymbolTable::try_encode_into`] pass; only a suffix that
@@ -17,10 +17,16 @@
 //! * **Column-at-a-time appends.** The chunk lands in the row-major table
 //!   through [`crate::Table::append_columns`]: one exact reservation,
 //!   then one strided pass per column.
-//! * **Amortized WAL records.** One framed [`WalOp::BulkChunk`] per chunk
-//!   instead of one `BulkRow` per row; the record's payload is read
-//!   straight back out of the freshly appended table region, so no
-//!   row-major copy of the chunk is ever materialized.
+//! * **Amortized WAL records.** One framed [`WalOp::BulkChunk`] per
+//!   chunk; the record's payload is read straight back out of the freshly
+//!   appended table region, so no row-major copy of the chunk is ever
+//!   materialized.
+//!
+//! Chunks arrive column-major ([`BulkLoader::push_chunk_columns`]),
+//! row-major ([`BulkLoader::push_rows`]), or already encoded — column-major
+//! from parallel-ingest workers ([`BulkLoader::push_encoded_columns`]) or
+//! row-major from a logged chunk during recovery
+//! ([`BulkLoader::push_cells`]).
 //!
 //! The fourth cost — index build — is addressed separately by the
 //! sort-based construction mode in [`crate::index`], which the deferred
@@ -143,8 +149,8 @@ impl BulkLoader<'_> {
     }
 
     /// Appends one chunk given as flat **row-major** values
-    /// (`flat.len()` must be a multiple of the arity) — the replay-side
-    /// and convenience path; same batch encoding and single WAL record as
+    /// (`flat.len()` must be a multiple of the arity) — the convenience
+    /// path; same batch encoding and single WAL record as
     /// [`Self::push_chunk_columns`].
     pub fn push_rows(&mut self, flat: &[Value]) {
         let arity = self.table.arity();
@@ -158,6 +164,23 @@ impl BulkLoader<'_> {
         let start = self.table.len();
         self.table.extend_cells(&self.rowbuf);
         self.log_appended(start, rows, all_hit);
+    }
+
+    /// Appends one chunk of **row-major** cells already encoded against
+    /// this database's symbol table (`cells.len()` must be a multiple of
+    /// the arity) — how log replay re-applies a logged
+    /// [`WalOp::BulkChunk`] without decoding it back to values. No
+    /// interning happens, so the chunk counts as a batch hit.
+    pub fn push_cells(&mut self, cells: &[Cell]) {
+        let arity = self.table.arity();
+        assert_eq!(cells.len() % arity, 0, "arity mismatch on chunk append");
+        let rows = cells.len() / arity;
+        if rows == 0 {
+            return;
+        }
+        let start = self.table.len();
+        self.table.extend_cells(cells);
+        self.log_appended(start, rows, true);
     }
 
     /// Emits the WAL chunk record for rows appended at `start` and updates
@@ -260,12 +283,12 @@ mod tests {
         ]
     }
 
-    /// The ground truth: the same rows through the per-row loader.
+    /// The ground truth: the same rows pushed one row per chunk.
     fn via_loader(rows: &[Vec<Value>]) -> Database {
         let mut db = Database::new(catalog());
-        let mut l = db.loader(RelId(0));
+        let mut l = db.bulk_loader(RelId(0));
         for r in rows {
-            l.push(r);
+            l.push_rows(r);
         }
         drop(l);
         db
@@ -360,7 +383,41 @@ mod tests {
     }
 
     #[test]
-    fn bulk_loader_invalidates_indices_like_the_row_loader() {
+    fn logged_cell_chunks_reload_identically() {
+        // Replay's path: the cells a load appended, pushed back row-major
+        // into a database with the same symbol table, rebuild the table
+        // cell for cell.
+        let rows: Vec<Vec<Value>> = (0..50).map(row).collect();
+        let oracle = via_loader(&rows);
+        let cells = oracle.table(RelId(0)).cells().to_vec();
+        let mut db = Database::new(catalog());
+        for r in &rows {
+            for v in r {
+                if let Value::Str(text) = v {
+                    db.replay_intern_str(text);
+                } else if let Value::Int(i) = v {
+                    db.replay_intern_wide(*i);
+                }
+            }
+        }
+        assert_eq!(db.symbols().len(), oracle.symbols().len());
+        let stats = {
+            let mut b = db.bulk_loader(RelId(0));
+            for chunk in cells.chunks(3 * 16) {
+                b.push_cells(chunk);
+            }
+            b.stats()
+        };
+        assert_eq!(
+            (stats.rows, stats.chunks, stats.intern_batch_hits),
+            (50, 4, 4)
+        );
+        assert_eq!(db.table(RelId(0)).cells(), &cells[..]);
+        assert_eq!(db.epoch(), oracle.epoch());
+    }
+
+    #[test]
+    fn bulk_loader_invalidates_indices() {
         let cat = catalog();
         let mut a = AccessSchema::new(cat.clone());
         a.add("r", &["a"], &["b"], 100).unwrap();

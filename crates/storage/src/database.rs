@@ -207,31 +207,31 @@ impl Database {
         Arc::clone(&self.symbols)
     }
 
-    /// Replay-side eager interning: folds one logged intern record into the
-    /// database's own symbol table. Recovery applies these in logged (id)
-    /// order **before** re-encoding the rows that referenced them, so the
-    /// rebuilt cells reuse the original symbol ids no matter what encode
-    /// order produced them — the bulk-ingest fast path interns
-    /// column-at-a-time, while replay pushes whole rows.
+    /// Replay-side interning: folds one logged intern record into the
+    /// database's own symbol table and returns the id it got. Recovery
+    /// applies these in logged (id) order **before** the logged cells that
+    /// reference them, and checks each returned id against the logged one,
+    /// so the replayed cell words decode to the original values.
     ///
     /// Recovery-only: calling this on a WAL-attached database would create
     /// an unlogged symbol.
-    pub fn replay_intern_str(&mut self, text: &str) {
+    pub fn replay_intern_str(&mut self, text: &str) -> Sym {
         debug_assert!(
             self.wal.is_none(),
             "replay-side interning on a WAL-attached database"
         );
-        Arc::make_mut(&mut self.symbols).intern(text);
+        Arc::make_mut(&mut self.symbols).intern(text)
     }
 
-    /// Replay-side eager interning of a wide integer; see
-    /// [`Self::replay_intern_str`].
-    pub fn replay_intern_wide(&mut self, value: i64) {
+    /// Replay-side interning of a wide integer; see
+    /// [`Self::replay_intern_str`]. Returns the value's cell (a wide-int
+    /// cell naming its pool index, for values outside the inline range).
+    pub fn replay_intern_wide(&mut self, value: i64) -> Cell {
         debug_assert!(
             self.wal.is_none(),
             "replay-side interning on a WAL-attached database"
         );
-        Arc::make_mut(&mut self.symbols).encode(&Value::Int(value));
+        Arc::make_mut(&mut self.symbols).encode(&Value::Int(value))
     }
 
     /// The table for `rel`.
@@ -282,51 +282,15 @@ impl Database {
         )
     }
 
-    /// Encodes a row for storage, interning unseen values. The symbol table
-    /// is copy-on-write too: a row whose values are all already interned —
-    /// the steady state of a serving workload — never clones it, even with
-    /// snapshots outstanding. Newly interned values are delivered to the
-    /// WAL sink (before the op record that carries the encoded cells).
-    fn encode_row_interning(&mut self, row: &[Value]) -> RowBuf {
-        encode_interning_logged(&mut self.symbols, self.wal.as_deref(), row)
-    }
-
-    /// A value-level bulk loader for `rel`: encodes [`Value`] rows through
-    /// this database's symbol table. Invalidates the relation's indices
-    /// (bulk-load path): call [`Self::build_indexes`] when loading is done.
-    pub fn loader(&mut self, rel: RelId) -> Loader<'_> {
+    /// The bulk-ingest path for `rel`, and the only bulk loader: one commit
+    /// bump for the whole load, the relation's indices invalidated, and a
+    /// WAL bracket `BulkBegin … BulkEnd` around one [`WalOp::BulkChunk`]
+    /// record per chunk. Rows arrive chunk-at-a-time — column-major,
+    /// row-major, or pre-encoded cells (see [`crate::bulk`]). Call
+    /// [`Self::build_indexes`] when loading is done.
+    pub fn bulk_loader(&mut self, rel: RelId) -> crate::bulk::BulkLoader<'_> {
         // The loader also borrows the symbol table, so the funnel is the
         // free `cow_shard` over field-disjoint borrows.
-        self.commit += 1;
-        let commit = self.commit;
-        let shard = cow_shard(
-            &mut self.shards[rel.0],
-            commit,
-            &mut self.cow_cells,
-            &mut self.cow_clones,
-        );
-        shard.indexes.clear();
-        let wal = self.wal.as_deref();
-        if let Some(sink) = wal {
-            sink.record(WalOp::BulkBegin { commit, rel });
-        }
-        Loader {
-            table: &mut shard.table,
-            symbols: &mut self.symbols,
-            wal,
-            rel,
-        }
-    }
-
-    /// The chunked bulk-ingest fast path for `rel`: like [`Self::loader`]
-    /// (one commit bump for the whole load, indices invalidated, WAL
-    /// bracket `BulkBegin … BulkEnd`) but rows arrive **chunk-at-a-time**:
-    /// each chunk is symbol-encoded in batch passes, appended column at a
-    /// time, and logged as a single [`WalOp::BulkChunk`] record instead of
-    /// one record per row. Call [`Self::build_indexes`] when loading is
-    /// done. Loads the final state identically to pushing the same rows
-    /// through [`Self::loader`] one at a time.
-    pub fn bulk_loader(&mut self, rel: RelId) -> crate::bulk::BulkLoader<'_> {
         self.commit += 1;
         let commit = self.commit;
         let shard = cow_shard(
@@ -364,47 +328,17 @@ impl Database {
     /// [`Self::insert_maintained`] for live updates. Other relations'
     /// shards — tables, indices, epochs — are untouched.
     pub fn insert(&mut self, rel_name: &str, row: &[Value]) -> Result<()> {
-        let rel = self.catalog.require_rel(rel_name)?;
-        if row.len() != self.catalog.relation(rel).arity() {
-            return Err(CoreError::Invalid(format!(
-                "arity mismatch inserting into `{rel_name}`"
-            )));
-        }
-        let cells = self.encode_row_interning(row);
-        let shard = self.shard_mut(rel);
-        shard.indexes.clear();
-        shard.table.push(&cells);
-        self.emit(WalOp::Insert {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(())
+        self.write_row(WriteKind::Insert, rel_name, row, false)
+            .map(drop)
     }
 
     /// Inserts one row and **maintains** every registered index of the
     /// relation in place (amortized O(columns) per index) — the live-update
     /// path used by incremental maintenance. Returns the new row's id.
     pub fn insert_maintained(&mut self, rel_name: &str, row: &[Value]) -> Result<u32> {
-        let rel = self.catalog.require_rel(rel_name)?;
-        if row.len() != self.catalog.relation(rel).arity() {
-            return Err(CoreError::Invalid(format!(
-                "arity mismatch inserting into `{rel_name}`"
-            )));
-        }
-        let cells = self.encode_row_interning(row);
-        let shard = self.shard_mut(rel);
-        let rid = shard.table.len() as u32;
-        shard.table.push(&cells);
-        for (_, idx) in shard.indexes.iter_mut() {
-            idx.insert_row(rid, &cells);
-        }
-        self.emit(WalOp::InsertMaintained {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(rid)
+        Ok(self
+            .write_row(WriteKind::Insert, rel_name, row, true)?
+            .expect("an insert always lands"))
     }
 
     /// Deletes **one copy** of `row` from the relation called `rel_name`
@@ -417,23 +351,9 @@ impl Database {
     /// [`Self::build_indexes`] when done, or use
     /// [`Self::delete_maintained`] for live updates.
     pub fn delete(&mut self, rel_name: &str, row: &[Value]) -> Result<bool> {
-        let (rel, cells) = match self.locate(rel_name, row)? {
-            Some(hit) => hit,
-            None => return Ok(false),
-        };
-        let rid = match self.shards[rel.0].table.find_row(&cells) {
-            Some(rid) => rid,
-            None => return Ok(false),
-        };
-        let shard = self.shard_mut(rel);
-        shard.indexes.clear();
-        shard.table.swap_remove(rid);
-        self.emit(WalOp::Delete {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(true)
+        Ok(self
+            .write_row(WriteKind::Delete, rel_name, row, false)?
+            .is_some())
     }
 
     /// Deletes one copy of `row` and **maintains** every registered index of
@@ -444,118 +364,124 @@ impl Database {
     /// swapped into the hole and its postings re-pointed. Returns `false` —
     /// with no epoch bump — if no copy is stored.
     pub fn delete_maintained(&mut self, rel_name: &str, row: &[Value]) -> Result<bool> {
-        let (rel, cells) = match self.locate(rel_name, row)? {
-            Some(hit) => hit,
-            None => return Ok(false),
-        };
-        let rid = match self.locate_rid(rel, &cells) {
-            Some(rid) => rid,
-            None => return Ok(false),
-        };
-        let RelationShard { table, indexes, .. } = self.shard_mut(rel);
-        for (_, idx) in indexes.iter_mut() {
-            idx.remove_row(rid as u32, &cells, table);
-        }
-        if let Some(moved_from) = table.swap_remove(rid) {
-            let moved: Vec<Cell> = table.row(rid).to_vec();
-            for (_, idx) in indexes.iter_mut() {
-                idx.reindex_row(moved_from as u32, rid as u32, &moved);
-            }
-        }
-        self.emit(WalOp::DeleteMaintained {
-            commit: self.commit,
-            rel,
-            cells: &cells,
-        });
-        Ok(true)
+        Ok(self
+            .write_row(WriteKind::Delete, rel_name, row, true)?
+            .is_some())
     }
 
-    /// Prepares an [`Self::insert_maintained`] **off the commit lock**: all
-    /// the expensive work — row encoding, the shard's copy-on-write clone,
-    /// the table append and index maintenance — happens against `&self`
-    /// (any snapshot of the relation's latest state), leaving only the
-    /// pointer-swap [`Self::commit_prepared`] for the exclusive section.
+    /// One single-row write in place, given as values — the head that
+    /// [`Self::insert`], [`Self::delete`] and their `_maintained` forms
+    /// share, and the in-place counterpart of [`Self::prepare_write`]:
+    /// resolves the relation, checks the arity, encodes the row and hands
+    /// the cells to [`Self::apply_cells`]. Inserts intern unseen values
+    /// (logging them before the op record); deletes encode read-only,
+    /// since a value that was never interned proves no copy is stored.
+    /// Returns the row id the write landed on (for a delete, the removed
+    /// copy's pre-swap id), or `None` when a delete found no copy.
+    pub fn write_row(
+        &mut self,
+        kind: WriteKind,
+        rel_name: &str,
+        row: &[Value],
+        maintained: bool,
+    ) -> Result<Option<u32>> {
+        let rel = self.resolve_row(kind, rel_name, row)?;
+        let cells = match kind {
+            WriteKind::Insert => {
+                encode_interning_logged(&mut self.symbols, self.wal.as_deref(), row)
+            }
+            WriteKind::Delete => match self.symbols.try_encode_row(row) {
+                Some(cells) => cells,
+                None => return Ok(None),
+            },
+        };
+        self.apply_cells(kind, rel, &cells, maintained)
+    }
+
+    /// Applies one single-row write given as interned cells — the funnel
+    /// every row write reaches, live or replayed from the log. Bumps the
+    /// commit counter, copy-on-writes the touched shard, applies the write
+    /// to its table and indices (a non-`maintained` write drops the
+    /// relation's indices first — the bulk path of [`Self::insert`] /
+    /// [`Self::delete`]), and emits the WAL op. Returns the row id the
+    /// write landed on, or `None` — with nothing bumped or logged — when a
+    /// delete finds no stored copy.
     ///
-    /// Returns `Ok(None)` when the row contains a not-yet-interned value:
-    /// interning mutates the shared symbol table, so the caller must fall
-    /// back to the in-place path under exclusion. The caller must hold the
-    /// relation's write latch from before calling this until after
-    /// `commit_prepared`, so no other writer can move the shard's epoch in
-    /// between (`commit_prepared` panics if one did).
-    pub fn prepare_insert_maintained(
+    /// `cells` must be encoded against this database's symbol table (log
+    /// replay validates every cell word before calling this). A relation
+    /// out of range or a row of the wrong arity is an error.
+    pub fn apply_cells(
+        &mut self,
+        kind: WriteKind,
+        rel: RelId,
+        cells: &[Cell],
+        maintained: bool,
+    ) -> Result<Option<u32>> {
+        let Some(shard) = self.shards.get(rel.0) else {
+            return Err(CoreError::Invalid(format!(
+                "relation {} out of range ({} relations)",
+                rel.0,
+                self.shards.len()
+            )));
+        };
+        if cells.len() != shard.table.arity() {
+            return Err(CoreError::Invalid(format!(
+                "arity mismatch: {} cells for relation {} of arity {}",
+                cells.len(),
+                rel.0,
+                shard.table.arity()
+            )));
+        }
+        let Some(rid) = shard.target(kind, cells) else {
+            return Ok(None);
+        };
+        let shard = self.shard_mut(rel);
+        if !maintained {
+            shard.indexes.clear();
+        }
+        shard.apply_row(kind, cells, rid);
+        self.emit(row_op(kind, maintained, self.commit, rel, cells));
+        Ok(Some(rid as u32))
+    }
+
+    /// Prepares a maintained single-row write **off the commit lock**: all
+    /// the expensive work — row encoding, the shard's copy-on-write clone,
+    /// and the same table and index mutation the in-place
+    /// [`Self::write_row`] applies — happens against `&self` (any snapshot of the relation's
+    /// latest state), leaving only the pointer-swap
+    /// [`Self::commit_prepared`] for the exclusive section.
+    ///
+    /// Returns `Ok(None)` when there is nothing to prepare: an insert whose
+    /// row holds a not-yet-interned value (interning mutates the shared
+    /// symbol table, so the caller falls back to [`Self::write_row`]
+    /// under exclusion), or a delete that finds
+    /// no stored copy (the fallback then reports the miss). The caller
+    /// must hold the relation's write latch from before calling this until
+    /// after `commit_prepared`, so no other writer can move the shard's
+    /// epoch in between (`commit_prepared` panics if one did).
+    pub fn prepare_write(
         &self,
+        kind: WriteKind,
         rel_name: &str,
         row: &[Value],
     ) -> Result<Option<PreparedWrite>> {
-        let rel = self.catalog.require_rel(rel_name)?;
-        if row.len() != self.catalog.relation(rel).arity() {
-            return Err(CoreError::Invalid(format!(
-                "arity mismatch inserting into `{rel_name}`"
-            )));
-        }
+        let rel = self.resolve_row(kind, rel_name, row)?;
         let Some(cells) = self.symbols.try_encode_row(row) else {
             return Ok(None);
         };
         let base = &self.shards[rel.0];
-        let cloned_cells = base.clone_cells();
+        let Some(rid) = base.target(kind, &cells) else {
+            return Ok(None);
+        };
         let mut shard = (**base).clone();
-        let rid = shard.table.len() as u32;
-        shard.table.push(&cells);
-        for (_, idx) in shard.indexes.iter_mut() {
-            idx.insert_row(rid, &cells);
-        }
+        shard.apply_row(kind, &cells, rid);
         Ok(Some(PreparedWrite {
             rel,
             base_epoch: base.epoch,
             shard,
-            cloned_cells,
+            cloned_cells: base.clone_cells(),
             cells: cells.to_vec(),
-            kind: PreparedKind::Insert,
-            rid,
-        }))
-    }
-
-    /// Prepares a [`Self::delete_maintained`] off the commit lock; the
-    /// mirror of [`Self::prepare_insert_maintained`] (same latch contract).
-    ///
-    /// Returns `Ok(None)` when no copy of the row is stored — including
-    /// rows with never-interned values, which cannot be stored — in which
-    /// case the delete is a no-op (`false`) and nothing needs committing:
-    /// unlike the insert side there is no interning fallback, because the
-    /// caller's latch keeps the relation's contents stable until commit.
-    pub fn prepare_delete_maintained(
-        &self,
-        rel_name: &str,
-        row: &[Value],
-    ) -> Result<Option<PreparedWrite>> {
-        let (rel, cells) = match self.locate(rel_name, row)? {
-            Some(hit) => hit,
-            None => return Ok(None),
-        };
-        let rid = match self.locate_rid(rel, &cells) {
-            Some(rid) => rid,
-            None => return Ok(None),
-        };
-        let base = &self.shards[rel.0];
-        let cloned_cells = base.clone_cells();
-        let mut shard = (**base).clone();
-        let RelationShard { table, indexes, .. } = &mut shard;
-        for (_, idx) in indexes.iter_mut() {
-            idx.remove_row(rid as u32, &cells, table);
-        }
-        if let Some(moved_from) = table.swap_remove(rid) {
-            let moved: Vec<Cell> = table.row(rid).to_vec();
-            for (_, idx) in indexes.iter_mut() {
-                idx.reindex_row(moved_from as u32, rid as u32, &moved);
-            }
-        }
-        Ok(Some(PreparedWrite {
-            rel,
-            base_epoch: base.epoch,
-            shard,
-            cloned_cells,
-            cells,
-            kind: PreparedKind::Delete,
+            kind,
             rid: rid as u32,
         }))
     }
@@ -591,18 +517,7 @@ impl Database {
         self.cow_clones += 1;
         shard.epoch = self.commit;
         self.shards[rel.0] = Arc::new(shard);
-        match kind {
-            PreparedKind::Insert => self.emit(WalOp::InsertMaintained {
-                commit: self.commit,
-                rel,
-                cells: &cells,
-            }),
-            PreparedKind::Delete => self.emit(WalOp::DeleteMaintained {
-                commit: self.commit,
-                rel,
-                cells: &cells,
-            }),
-        }
+        self.emit(row_op(kind, true, self.commit, rel, &cells));
         rid
     }
 
@@ -617,42 +532,24 @@ impl Database {
         let Some(cells) = self.symbols.try_encode_row(row) else {
             return Ok(false); // a never-interned value was never stored
         };
-        Ok(self.locate_rid(rel, &cells).is_some())
+        Ok(self.shards[rel.0].find(&cells).is_some())
     }
 
-    /// Shared head of the delete paths: resolves the relation, checks the
-    /// arity, and encodes the row read-only (a never-interned value proves
-    /// no copy is stored).
-    fn locate(&self, rel_name: &str, row: &[Value]) -> Result<Option<(RelId, Vec<Cell>)>> {
+    /// Resolves `rel_name` and checks that `row` matches its arity — before
+    /// anything is encoded, so a malformed row interns nothing.
+    fn resolve_row(&self, kind: WriteKind, rel_name: &str, row: &[Value]) -> Result<RelId> {
         let rel = self.catalog.require_rel(rel_name)?;
         if row.len() != self.catalog.relation(rel).arity() {
+            let verb = match kind {
+                WriteKind::Insert => "inserting into",
+                WriteKind::Delete => "deleting from",
+            };
             return Err(CoreError::Invalid(format!(
-                "arity mismatch deleting from `{rel_name}`"
+                "arity mismatch {verb} `{rel_name}`"
             )));
         }
-        match self.symbols.try_encode_row(row) {
-            Some(cells) => Ok(Some((rel, cells.to_vec()))),
-            None => Ok(None),
-        }
+        Ok(rel)
     }
-
-    /// The row id of one stored copy of `cells`: probes the posting list of
-    /// a registered index on the relation when one exists (any index works —
-    /// its key is a projection of the row being looked up), else scans.
-    fn locate_rid(&self, rel: RelId, cells: &[Cell]) -> Option<usize> {
-        let shard = &self.shards[rel.0];
-        if let Some((_, idx)) = shard.indexes.first() {
-            let key: RowBuf = idx.x().iter().map(|&c| cells[c]).collect();
-            return idx
-                .all(&key)
-                .iter()
-                .copied()
-                .map(|rid| rid as usize)
-                .find(|&rid| shard.table.row(rid) == cells);
-        }
-        shard.table.find_row(cells)
-    }
-
     /// Total number of tuples across all tables — the paper's `|D|`.
     pub fn total_tuples(&self) -> usize {
         self.shards.iter().map(|s| s.table.len()).sum()
@@ -710,9 +607,30 @@ impl Database {
     }
 }
 
+/// Which single-row write: the shared vocabulary of the live, prepared and
+/// replayed write paths ([`Database::write_row`],
+/// [`Database::prepare_write`], [`Database::apply_cells`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteKind {
+    /// Append one row.
+    Insert,
+    /// Remove one stored copy of a row.
+    Delete,
+}
+
+/// The WAL record of one applied single-row write.
+fn row_op(kind: WriteKind, maintained: bool, commit: u64, rel: RelId, cells: &[Cell]) -> WalOp<'_> {
+    match (kind, maintained) {
+        (WriteKind::Insert, false) => WalOp::Insert { commit, rel, cells },
+        (WriteKind::Insert, true) => WalOp::InsertMaintained { commit, rel, cells },
+        (WriteKind::Delete, false) => WalOp::Delete { commit, rel, cells },
+        (WriteKind::Delete, true) => WalOp::DeleteMaintained { commit, rel, cells },
+    }
+}
+
 /// A maintained single-row write prepared against a snapshot of one
 /// relation's latest state, ready for its short exclusive commit; see
-/// [`Database::prepare_insert_maintained`] / [`Database::commit_prepared`].
+/// [`Database::prepare_write`] / [`Database::commit_prepared`].
 #[derive(Debug)]
 pub struct PreparedWrite {
     rel: RelId,
@@ -722,14 +640,8 @@ pub struct PreparedWrite {
     shard: RelationShard,
     cloned_cells: u64,
     cells: Vec<Cell>,
-    kind: PreparedKind,
+    kind: WriteKind,
     rid: u32,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PreparedKind {
-    Insert,
-    Delete,
 }
 
 impl PreparedWrite {
@@ -746,10 +658,10 @@ impl PreparedWrite {
 }
 
 /// The copy-on-write funnel shared by [`Database::shard_mut`] and
-/// [`Database::loader`]: clones the shard iff something else still
+/// [`Database::bulk_loader`]: clones the shard iff something else still
 /// references it (feeding the cow diagnostics the write-amplification
 /// bench reads) and stamps it with the new commit number. A free function
-/// over disjoint fields so the loader can borrow the symbol table
+/// over disjoint fields so the bulk loader can borrow the symbol table
 /// alongside.
 fn cow_shard<'a>(
     arc: &'a mut Arc<RelationShard>,
@@ -831,56 +743,6 @@ pub struct ShardState {
     pub indexes: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
-/// Value-level bulk loader returned by [`Database::loader`]: pairs a
-/// mutable table with the database's symbol table so callers keep pushing
-/// plain [`Value`] rows.
-pub struct Loader<'a> {
-    table: &'a mut Table,
-    symbols: &'a mut Arc<SymbolTable>,
-    wal: Option<&'a dyn WalSink>,
-    rel: RelId,
-}
-
-impl Loader<'_> {
-    /// Appends a row (must match the relation's arity). Values already
-    /// interned never touch the shared symbol table.
-    pub fn push(&mut self, row: &[Value]) {
-        let cells = encode_interning_logged(self.symbols, self.wal, row);
-        self.table.push(&cells);
-        if let Some(sink) = self.wal {
-            sink.record(WalOp::BulkRow {
-                rel: self.rel,
-                cells: &cells,
-            });
-        }
-    }
-
-    /// Reserves space for `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.table.reserve_rows(additional);
-    }
-
-    /// Number of rows currently in the table.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` if the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-}
-
-impl Drop for Loader<'_> {
-    fn drop(&mut self) {
-        // Close the WAL bracket: recovery discards a bulk load whose end
-        // record never made it to the log (torn mid-load).
-        if let Some(sink) = self.wal {
-            sink.record(WalOp::BulkEnd { rel: self.rel });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,10 +781,8 @@ mod tests {
         let e3 = db.epoch();
         assert!(e3 > e2);
 
-        {
-            let mut l = db.loader(RelId(1));
-            l.push(&[Value::int(4), Value::int(5)]);
-        }
+        db.bulk_loader(RelId(1))
+            .push_rows(&[Value::int(4), Value::int(5)]);
         assert!(db.epoch() > e3, "bulk load advances the epoch");
         // Reads never advance it.
         let frozen = db.epoch();
@@ -1019,18 +879,30 @@ mod tests {
         // First insert interns nothing new (ints are inline) so prepare
         // succeeds immediately.
         let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(2)])
+            .prepare_write(
+                WriteKind::Insert,
+                "friends",
+                &[Value::int(1), Value::int(2)],
+            )
             .unwrap()
             .unwrap();
         assert_eq!((p.rel(), p.rid()), (RelId(1), 0));
         assert_eq!(db.commit_prepared(p), 0);
         let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(3)])
+            .prepare_write(
+                WriteKind::Insert,
+                "friends",
+                &[Value::int(1), Value::int(3)],
+            )
             .unwrap()
             .unwrap();
         db.commit_prepared(p);
         let p = db
-            .prepare_delete_maintained("friends", &[Value::int(1), Value::int(2)])
+            .prepare_write(
+                WriteKind::Delete,
+                "friends",
+                &[Value::int(1), Value::int(2)],
+            )
             .unwrap()
             .unwrap();
         db.commit_prepared(p);
@@ -1044,16 +916,28 @@ mod tests {
 
         // Absent rows and never-interned values prepare to None.
         assert!(db
-            .prepare_delete_maintained("friends", &[Value::int(9), Value::int(9)])
+            .prepare_write(
+                WriteKind::Delete,
+                "friends",
+                &[Value::int(9), Value::int(9)]
+            )
             .unwrap()
             .is_none());
         assert!(db
-            .prepare_delete_maintained("friends", &[Value::str("ghost"), Value::int(1)])
+            .prepare_write(
+                WriteKind::Delete,
+                "friends",
+                &[Value::str("ghost"), Value::int(1)]
+            )
             .unwrap()
             .is_none());
         // Un-interned insert values defer to the in-place path.
         assert!(db
-            .prepare_insert_maintained("friends", &[Value::str("new"), Value::int(1)])
+            .prepare_write(
+                WriteKind::Insert,
+                "friends",
+                &[Value::str("new"), Value::int(1)]
+            )
             .unwrap()
             .is_none());
         // The prepared path counts its (unconditional) shard clones.
@@ -1067,7 +951,11 @@ mod tests {
             .unwrap();
         let snap = db.clone();
         let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(2)])
+            .prepare_write(
+                WriteKind::Insert,
+                "friends",
+                &[Value::int(1), Value::int(2)],
+            )
             .unwrap()
             .unwrap();
         db.commit_prepared(p);
@@ -1084,7 +972,11 @@ mod tests {
     fn commit_prepared_detects_latch_violations() {
         let mut db = Database::new(photos());
         let p = db
-            .prepare_insert_maintained("friends", &[Value::int(1), Value::int(2)])
+            .prepare_write(
+                WriteKind::Insert,
+                "friends",
+                &[Value::int(1), Value::int(2)],
+            )
             .unwrap()
             .unwrap();
         // Another write to the same relation lands between prepare and
@@ -1152,22 +1044,6 @@ mod tests {
             db.value_rows(RelId(0)).next().unwrap(),
             vec![Value::str("p1"), Value::str("a0")]
         );
-    }
-
-    #[test]
-    fn loader_encodes_values() {
-        let mut db = Database::new(photos());
-        {
-            let mut l = db.loader(RelId(1));
-            l.reserve_rows(2);
-            l.push(&[Value::str("u0"), Value::str("u1")]);
-            l.push(&[Value::int(7), Value::Null]);
-            assert_eq!(l.len(), 2);
-            assert!(!l.is_empty());
-        }
-        let rows: Vec<Vec<Value>> = db.value_rows(RelId(1)).collect();
-        assert_eq!(rows[0], vec![Value::str("u0"), Value::str("u1")]);
-        assert_eq!(rows[1], vec![Value::int(7), Value::Null]);
     }
 
     #[test]
@@ -1406,7 +1282,6 @@ mod tests {
                 W::Delete { rel, .. } => format!("delete:{}", rel.0),
                 W::DeleteMaintained { rel, .. } => format!("delete_m:{}", rel.0),
                 W::BulkBegin { rel, .. } => format!("bulk:{}", rel.0),
-                W::BulkRow { rel, .. } => format!("row:{}", rel.0),
                 W::BulkChunk { rel, rows, .. } => format!("chunk:{}x{rows}", rel.0),
                 W::BulkEnd { rel } => format!("bulk_end:{}", rel.0),
                 W::EnsureIndex { rel, .. } => format!("index:{}", rel.0),
@@ -1466,20 +1341,20 @@ mod tests {
             .unwrap());
         assert!(rec.take().is_empty());
 
-        // Bulk loads: one BulkBegin for the single commit bump, then a row
+        // Bulk loads: one BulkBegin for the single commit bump, then a chunk
         // record per push, with a wide-int intern where needed.
         {
-            let mut l = db.loader(RelId(0));
-            l.push(&[Value::int(1), Value::int(i64::MAX)]);
-            l.push(&[Value::int(2), Value::int(3)]);
+            let mut l = db.bulk_loader(RelId(0));
+            l.push_rows(&[Value::int(1), Value::int(i64::MAX)]);
+            l.push_rows(&[Value::int(2), Value::int(3)]);
         }
         assert_eq!(
             rec.take(),
             vec![
                 ("bulk:0".into(), Some(5)),
                 (format!("wide:{}", i64::MAX), None),
-                ("row:0".into(), None),
-                ("row:0".into(), None),
+                ("chunk:0x1".into(), None),
+                ("chunk:0x1".into(), None),
                 ("bulk_end:0".into(), None),
             ]
         );

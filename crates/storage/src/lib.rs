@@ -31,7 +31,7 @@ pub mod wal;
 
 pub use bulk::{BulkLoader, IngestStats};
 pub use csv::{dump_csv, load_csv};
-pub use database::{Database, Loader, PreparedWrite, ShardState};
+pub use database::{Database, PreparedWrite, ShardState, WriteKind};
 pub use index::{HashIndex, Postings};
 pub use meter::Meter;
 pub use shard::RelationShard;

@@ -12,8 +12,10 @@
 //! through [`crate::Database`], which is what keeps the vector clock and
 //! the global commit counter coherent.
 
+use crate::database::WriteKind;
 use crate::index::HashIndex;
 use crate::table::Table;
+use bcq_core::prelude::{Cell, RowBuf};
 
 /// Structural identity of an index within its shard: key columns + value
 /// columns. Indices are shared across access schemas that declare the same
@@ -86,5 +88,62 @@ impl RelationShard {
     /// cells (index postings excluded — they are roughly proportional).
     pub fn clone_cells(&self) -> u64 {
         (self.table.len() * self.table.arity()) as u64
+    }
+
+    /// The row id of one stored copy of `cells`: probes the posting list of
+    /// a registered index when one exists (any index works — its key is a
+    /// projection of the row being looked up), else scans.
+    pub(crate) fn find(&self, cells: &[Cell]) -> Option<usize> {
+        if let Some((_, idx)) = self.indexes.first() {
+            let key: RowBuf = idx.x().iter().map(|&c| cells[c]).collect();
+            return idx
+                .all(&key)
+                .iter()
+                .map(|&rid| rid as usize)
+                .find(|&rid| self.table.row(rid) == cells);
+        }
+        self.table.find_row(cells)
+    }
+
+    /// The row id a write of `cells` lands on: the append slot for an
+    /// insert, one stored copy ([`Self::find`]) for a delete — `None` when
+    /// no copy is stored.
+    pub(crate) fn target(&self, kind: WriteKind, cells: &[Cell]) -> Option<usize> {
+        match kind {
+            WriteKind::Insert => Some(self.table.len()),
+            WriteKind::Delete => self.find(cells),
+        }
+    }
+
+    /// Applies one single-row write at `rid` (from [`Self::target`]) to the
+    /// table and every registered index. This is the only code that
+    /// mutates a shard for a row write: in-place writes, prepared writes
+    /// (on a cloned shard) and log replay all reach it. An insert appends
+    /// the row and adds its postings (amortized O(columns) per index); a
+    /// delete drops the row's postings, swap-removes it (tombstone-free:
+    /// the last row moves into the hole) and re-points the moved row's
+    /// postings.
+    pub(crate) fn apply_row(&mut self, kind: WriteKind, cells: &[Cell], rid: usize) {
+        let RelationShard { table, indexes, .. } = self;
+        match kind {
+            WriteKind::Insert => {
+                debug_assert_eq!(rid, table.len(), "inserts append");
+                table.push(cells);
+                for (_, idx) in indexes.iter_mut() {
+                    idx.insert_row(rid as u32, cells);
+                }
+            }
+            WriteKind::Delete => {
+                for (_, idx) in indexes.iter_mut() {
+                    idx.remove_row(rid as u32, cells, table);
+                }
+                if let Some(moved_from) = table.swap_remove(rid) {
+                    let moved: Vec<Cell> = table.row(rid).to_vec();
+                    for (_, idx) in indexes.iter_mut() {
+                        idx.reindex_row(moved_from as u32, rid as u32, &moved);
+                    }
+                }
+            }
+        }
     }
 }

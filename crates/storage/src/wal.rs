@@ -12,7 +12,9 @@
 //! ## The replay contract
 //!
 //! The record stream is designed so that replaying it through the very
-//! same public `Database` API reproduces the store *exactly*:
+//! same cell-level `Database` functions the live writes use
+//! ([`Database::apply_cells`](crate::Database::apply_cells) and the bulk
+//! loader) reproduces the store *exactly*:
 //!
 //! * **Commits are 1:1.** Each op record carries the commit number it was
 //!   stamped with; re-applying the ops in order against a database at
@@ -25,9 +27,10 @@
 //!   ids, and the intern records replay in emission order, so the raw
 //!   `u64` cell words stored in op records decode against the replayed
 //!   table to the original values.
-//! * **Bulk loads are bracketed.** [`Database::loader`](crate::Database::loader)
-//!   bumps the commit once for the whole load; the stream mirrors that
-//!   with one [`WalOp::BulkBegin`] followed by per-row [`WalOp::BulkRow`]
+//! * **Bulk loads are bracketed.**
+//!   [`Database::bulk_loader`](crate::Database::bulk_loader) bumps the
+//!   commit once for the whole load; the stream mirrors that with one
+//!   [`WalOp::BulkBegin`] followed by per-chunk [`WalOp::BulkChunk`]
 //!   records that carry no commit of their own, closed by a
 //!   [`WalOp::BulkEnd`] when the loader drops — recovery's proof that the
 //!   load was not torn mid-way.
@@ -100,29 +103,19 @@ pub enum WalOp<'a> {
         /// The deleted row, as interned cells.
         cells: &'a [Cell],
     },
-    /// A bulk load began ([`crate::Database::loader`]): one commit bump
-    /// covering every following [`WalOp::BulkRow`] for `rel`, and the
-    /// relation's indices dropped.
+    /// A bulk load began ([`crate::Database::bulk_loader`]): one commit
+    /// bump covering every following [`WalOp::BulkChunk`] for `rel`, and
+    /// the relation's indices dropped.
     BulkBegin {
         /// Commit number the whole load was stamped with.
         commit: u64,
         /// The relation being loaded.
         rel: RelId,
     },
-    /// One row appended under the preceding [`WalOp::BulkBegin`] (no
-    /// commit bump of its own).
-    BulkRow {
-        /// The relation being loaded.
-        rel: RelId,
-        /// The appended row, as interned cells.
-        cells: &'a [Cell],
-    },
     /// A whole chunk of rows appended under the preceding
     /// [`WalOp::BulkBegin`] (no commit bump of its own): `cells` holds
-    /// `rows` row-major rows back to back. The bulk-ingest fast path emits
-    /// one of these per chunk instead of one [`WalOp::BulkRow`] per row,
-    /// amortizing framing, sequencing and fsync accounting over thousands
-    /// of rows.
+    /// `rows` row-major rows back to back. One record per chunk amortizes
+    /// framing, sequencing and fsync accounting over thousands of rows.
     BulkChunk {
         /// The relation being loaded.
         rel: RelId,
@@ -154,7 +147,7 @@ pub enum WalOp<'a> {
 
 impl WalOp<'_> {
     /// The commit number this record was stamped with, if it represents a
-    /// commit bump (intern and bulk-row records ride under a neighbouring
+    /// commit bump (intern and bulk-chunk records ride under a neighbouring
     /// op's commit).
     pub fn commit(&self) -> Option<u64> {
         match *self {
@@ -166,7 +159,6 @@ impl WalOp<'_> {
             | WalOp::EnsureIndex { commit, .. } => Some(commit),
             WalOp::InternStr { .. }
             | WalOp::InternWide { .. }
-            | WalOp::BulkRow { .. }
             | WalOp::BulkChunk { .. }
             | WalOp::BulkEnd { .. } => None,
         }
@@ -182,7 +174,6 @@ impl WalOp<'_> {
             | WalOp::Delete { rel, .. }
             | WalOp::DeleteMaintained { rel, .. }
             | WalOp::BulkBegin { rel, .. }
-            | WalOp::BulkRow { rel, .. }
             | WalOp::BulkChunk { rel, .. }
             | WalOp::BulkEnd { rel }
             | WalOp::EnsureIndex { rel, .. } => Some(rel),
@@ -201,7 +192,7 @@ pub trait WalSink: Send + Sync + std::fmt::Debug {
     /// Delivers one record. Must not call back into the database.
     ///
     /// Infallible by design: the write path cannot surface I/O errors
-    /// without poisoning unrelated callers, so sinks buffer failures
-    /// internally and surface them on their own sync/checkpoint API.
+    /// without poisoning unrelated callers, so sinks keep failures
+    /// internally and surface them on their own ack/sync/checkpoint API.
     fn record(&self, op: WalOp<'_>);
 }

@@ -82,9 +82,9 @@ pub mod prelude {
     pub use bcq_core::prelude::*;
     pub use bcq_exec::{
         baseline, baseline_interpreted, eval_dq, eval_dq_interpreted, eval_dq_partials,
-        eval_dq_with, eval_dq_with_interpreted, eval_ra, materialize_views, run_program,
-        run_program_partials, BaselineMode, BaselineOptions, BaselineOutcome, DeltaStats,
-        ExecOutcome, IncrementalAnswer, ParamEnv, PartialsOutcome, RaOutcome, ResultSet,
+        eval_dq_with, eval_dq_with_interpreted, eval_ra, materialize_views, BaselineMode,
+        BaselineOptions, BaselineOutcome, DeltaStats, ExecOutcome, IncrementalAnswer, ParamEnv,
+        PartialsOutcome, RaOutcome, ResultSet,
     };
     pub use bcq_service::{
         trace_thread, AdmissionPolicy, BudgetVerdict, DirLog, DurabilityConfig, Lane, LaneKind,
@@ -94,8 +94,8 @@ pub mod prelude {
         SyncPolicy, ViewId, WalStats,
     };
     pub use bcq_storage::{
-        discover_bound, dump_csv, load_csv, validate, Database, HashIndex, Loader, Meter,
-        RelationShard, Table,
+        discover_bound, dump_csv, load_csv, validate, Database, HashIndex, Meter, RelationShard,
+        Table,
     };
     pub use bcq_workload::{
         all_datasets, load_par, load_range_par, Dataset, ParLoadOptions, WorkloadQuery,

@@ -10,9 +10,10 @@
 //!   differ — that is the point of the fast path: one commit per load
 //!   instead of one per row — but the vector-clock shape must agree:
 //!   untouched relations' components stay put in both.)
-//! * vs. the per-row [`Database::loader`] bulk path: bit-for-bit
-//!   identical epochs and decoded state — both are one-commit bulk
-//!   brackets, so nothing may distinguish them.
+//! * vs. the same loader fed **one row per push** (row-major, so values
+//!   intern in row order): bit-for-bit identical epochs and decoded
+//!   state — both are one-commit bulk brackets, so nothing may
+//!   distinguish them.
 //! * across a WAL crash: replaying a large chunked load (big enough to
 //!   dispatch the sort-based index build) reproduces the live database
 //!   exactly — raw cells included, because replay re-applies the logged
@@ -193,9 +194,9 @@ fn chunked_bulk_load_is_indistinguishable_from_the_per_row_loader() {
 
     let mut per_row = Database::new(catalog());
     {
-        let mut l = per_row.loader(RelId(0));
+        let mut l = per_row.bulk_loader(RelId(0));
         for r in &rows {
-            l.push(r);
+            l.push_rows(r);
         }
     }
     per_row.build_indexes(&a);

@@ -14,6 +14,11 @@
 //!   query must see rows inserted after the index was first built, and a
 //!   delete-then-probe must never surface the deleted row — the
 //!   regressions this file pins down.
+//!
+//! Both pairs reach the same cell-level row write
+//! ([`Database::apply_cells`]); the bulk pair only clears the relation's
+//! indices before it. Bulk loads go through [`Database::bulk_loader`],
+//! which drops the indices the same way.
 
 use bounded_cq::prelude::*;
 use std::collections::BTreeMap;

@@ -10,19 +10,22 @@
 //! (covered by the independent oracle in `tests/oracle.rs`), while a
 //! divergence between executors can only come from the access-path layer.
 //!
-//! Since the pipeline's hot path became the **compiled-program
-//! interpreter** (`OpProgram` + `run_program`), every executor here is
-//! additionally checked against its **query-walking oracle**
+//! Since the pipeline's hot path became the **columnar program
+//! interpreter** (`OpProgram` + `run_program_columnar`), every executor
+//! here is additionally checked against its **query-walking oracle**
 //! (`eval_dq_interpreted` / `baseline_interpreted`): same batches, the
 //! shape derived at compile time vs re-derived per request, identical
 //! answers and identical fetch accounting — across all three workloads and
-//! a proptest over random queries, data and parameter bindings.
+//! a proptest over random queries, data and parameter bindings. The
+//! interpreter is also driven directly against the oracle's
+//! `run_join_pipeline` on identical full-table batches.
 
 use bounded_cq::core::ra::RaExpr;
 use bounded_cq::core::sigma::Sigma;
 use bounded_cq::exec::{
-    baseline_interpreted, eval_dq_interpreted, eval_dq_with_interpreted, eval_ra, run_program,
-    run_program_columnar, Batch, ExecContext,
+    baseline_interpreted, eval_dq_interpreted, eval_dq_with_interpreted, eval_ra,
+    filter_program_columnar, run_join_pipeline, run_program_columnar_prefiltered, Batch,
+    ExecContext,
 };
 use bounded_cq::prelude::*;
 
@@ -117,60 +120,67 @@ fn check_dataset(ds: &Dataset, scale: f64) {
     );
 }
 
-/// Columnar ≡ row-at-a-time over the **same compiled program and the same
-/// candidate batches**: full-table candidates per atom, one `OpProgram`,
-/// both interpreters. Unlike the executor-level checks above (where the
-/// query-walking oracle may pick a different join order), the join order
-/// here is shared, so the *entire* meter — `tuples_fetched`,
-/// `rows_scanned` and `intermediate_rows` — must agree, not just the
-/// answer.
+/// The columnar program interpreter vs the query-walking oracle
+/// ([`run_join_pipeline`]) over the **same candidate batches**: every atom
+/// gets its relation's full table. The program is filtered first and its
+/// join rescheduled from the post-filter sizes — the baseline's compiled
+/// sequence — so it joins in the oracle's order and the *entire* meter
+/// (`tuples_fetched`, `rows_scanned` and `intermediate_rows`) must agree,
+/// not just the answer. The oracle never consults the compiler, so this
+/// checks the compiled filter, join schedule and projection map against
+/// an independent derivation from the query. Returns the agreed answer.
+fn check_columnar_against_oracle(db: &Database, q: &SpcQuery) -> ResultSet {
+    let sigma = Sigma::build(q);
+    let layouts: Vec<Vec<usize>> = (0..q.num_atoms())
+        .map(|atom| (0..q.arity_of(atom)).collect())
+        .collect();
+    let row_batches: Vec<Batch> = (0..q.num_atoms())
+        .map(|atom| Batch {
+            atom,
+            cols: layouts[atom].clone(),
+            rows: db
+                .table(q.relation_of(atom))
+                .rows()
+                .map(|r| r.iter().copied().collect())
+                .collect(),
+        })
+        .collect();
+    let mut col_batches: Vec<ColumnBatch> = (0..q.num_atoms())
+        .map(|atom| {
+            ColumnBatch::from_rows(
+                atom,
+                layouts[atom].clone(),
+                db.table(q.relation_of(atom)).rows(),
+            )
+        })
+        .collect();
+    let mut octx = ExecContext::new(db, None);
+    let oracle = run_join_pipeline(q, &sigma, row_batches, &mut octx).unwrap();
+    let mut prog = OpProgram::compile(q, &sigma, &layouts, None);
+    let mut cctx = ExecContext::new(db, None);
+    filter_program_columnar(&prog, &cctx, &mut col_batches);
+    let sizes: Vec<u128> = col_batches.iter().map(|b| b.len() as u128).collect();
+    prog.reschedule_joins(&sizes);
+    let col_rs = run_program_columnar_prefiltered(&prog, col_batches, &mut cctx).unwrap();
+    assert_eq!(col_rs, oracle, "{}: columnar program vs oracle", q.name());
+    assert_eq!(
+        cctx.meter,
+        octx.meter,
+        "{}: columnar program charges differently from the oracle",
+        q.name()
+    );
+    col_rs
+}
+
 fn check_program_layouts(ds: &Dataset, scale: f64) {
     let db = ds.build(scale);
     let mut checked = 0usize;
     for wq in ds.effectively_bounded_queries() {
         let q = &wq.query;
-        if q.has_placeholders() {
+        if q.has_placeholders() || !Sigma::build(q).is_satisfiable() {
             continue;
         }
-        let sigma = Sigma::build(q);
-        if !sigma.is_satisfiable() {
-            continue;
-        }
-        let layouts: Vec<Vec<usize>> = (0..q.num_atoms())
-            .map(|atom| (0..q.arity_of(atom)).collect())
-            .collect();
-        let prog = OpProgram::compile(q, &sigma, &layouts, None);
-        let row_batches: Vec<Batch> = (0..q.num_atoms())
-            .map(|atom| Batch {
-                atom,
-                cols: layouts[atom].clone(),
-                rows: db
-                    .table(q.relation_of(atom))
-                    .rows()
-                    .map(|r| r.iter().copied().collect())
-                    .collect(),
-            })
-            .collect();
-        let col_batches: Vec<ColumnBatch> = (0..q.num_atoms())
-            .map(|atom| {
-                ColumnBatch::from_rows(
-                    atom,
-                    layouts[atom].clone(),
-                    db.table(q.relation_of(atom)).rows(),
-                )
-            })
-            .collect();
-        let mut rctx = ExecContext::new(&db, None);
-        let row_rs = run_program(&prog, row_batches, &mut rctx).unwrap();
-        let mut cctx = ExecContext::new(&db, None);
-        let col_rs = run_program_columnar(&prog, col_batches, &mut cctx).unwrap();
-        assert_eq!(col_rs, row_rs, "{}: columnar vs row program", q.name());
-        assert_eq!(
-            cctx.meter,
-            rctx.meter,
-            "{}: columnar program charges differently",
-            q.name()
-        );
+        check_columnar_against_oracle(&db, q);
         checked += 1;
     }
     assert!(checked > 0, "{}: no ground bounded queries ran", ds.name);
@@ -182,17 +192,17 @@ fn tfacc_three_executors_agree() {
 }
 
 #[test]
-fn tfacc_columnar_program_matches_row_program() {
+fn tfacc_columnar_program_matches_oracle_join() {
     check_program_layouts(&bounded_cq::workload::tfacc::dataset(), 0.05);
 }
 
 #[test]
-fn mot_columnar_program_matches_row_program() {
+fn mot_columnar_program_matches_oracle_join() {
     check_program_layouts(&bounded_cq::workload::mot::dataset(), 0.05);
 }
 
 #[test]
-fn tpch_columnar_program_matches_row_program() {
+fn tpch_columnar_program_matches_oracle_join() {
     check_program_layouts(&bounded_cq::workload::tpch::dataset(), 0.1);
 }
 
@@ -392,41 +402,11 @@ proptest! {
             );
         }
 
-        // Program-level: the same compiled program over the same full-table
-        // candidate batches, columnar vs row-at-a-time interpreter. Shared
-        // join order means the entire meter must agree.
-        let sigma = Sigma::build(&ground);
-        if sigma.is_satisfiable() {
-            let layouts: Vec<Vec<usize>> = (0..ground.num_atoms())
-                .map(|atom| (0..ground.arity_of(atom)).collect())
-                .collect();
-            let prog = OpProgram::compile(&ground, &sigma, &layouts, None);
-            let row_batches: Vec<bounded_cq::exec::Batch> = (0..ground.num_atoms())
-                .map(|atom| bounded_cq::exec::Batch {
-                    atom,
-                    cols: layouts[atom].clone(),
-                    rows: db
-                        .table(ground.relation_of(atom))
-                        .rows()
-                        .map(|r| r.iter().copied().collect())
-                        .collect(),
-                })
-                .collect();
-            let col_batches: Vec<ColumnBatch> = (0..ground.num_atoms())
-                .map(|atom| {
-                    ColumnBatch::from_rows(
-                        atom,
-                        layouts[atom].clone(),
-                        db.table(ground.relation_of(atom)).rows(),
-                    )
-                })
-                .collect();
-            let mut rctx = ExecContext::new(&db, None);
-            let row_rs = run_program(&prog, row_batches, &mut rctx).unwrap();
-            let mut cctx = ExecContext::new(&db, None);
-            let col_rs = run_program_columnar(&prog, col_batches, &mut cctx).unwrap();
-            prop_assert_eq!(col_rs, row_rs, "columnar vs row program");
-            prop_assert_eq!(cctx.meter, rctx.meter, "columnar program meters differently");
+        // Program-level: the columnar interpreter vs the query-walking
+        // oracle over the same full-table candidate batches, full meter.
+        if Sigma::build(&ground).is_satisfiable() {
+            let rs = check_columnar_against_oracle(&db, &ground);
+            prop_assert_eq!(&rs, &compiled.result, "program-level vs prepared bounded answer");
         }
     }
 }
@@ -444,11 +424,8 @@ fn answers_survive_reinterning() {
     let mut db2 = Database::new(ds.catalog.clone());
     for (i, _) in ds.catalog.relations().iter().enumerate().rev() {
         let rel = RelId(i);
-        let rows: Vec<Vec<Value>> = db.value_rows(rel).collect();
-        let mut loader = db2.loader(rel);
-        for row in &rows {
-            loader.push(row);
-        }
+        let flat: Vec<Value> = db.value_rows(rel).flatten().collect();
+        db2.bulk_loader(rel).push_rows(&flat);
     }
     db2.build_indexes(&ds.access);
 

@@ -1,14 +1,15 @@
 //! Crash-point differential proof of the durability layer: random
 //! interleavings of maintained inserts/deletes, out-of-band writes and
-//! bulk loads — row-at-a-time and chunked columnar, so cuts land inside
-//! encoded `BulkChunk` records too — are applied to a WAL-attached
-//! database, the log is cut at a
-//! **random byte offset** — including mid-record and mid-bulk — and
-//! recovery must land on exactly the state the never-crashed oracle had at
-//! some commit boundary at or before the cut: same rows, same epoch
+//! bulk loads — one row per chunk and multi-row columnar chunks, so cuts
+//! land between and inside encoded `BulkChunk` records — are applied to a
+//! WAL-attached database, the log is cut at a **random byte offset** —
+//! including mid-record and mid-bulk — and recovery must land on exactly
+//! the state the never-crashed oracle had at some commit boundary at or
+//! before the cut: same rows, same epoch
 //! vector, same index postings (down to rids and witness lists, since
-//! replay reproduces every operation in identical order through the
-//! public `Database` API). Recovering twice must equal recovering once.
+//! replay reproduces every operation in identical order through the same
+//! cell-level write functions). Recovering twice must equal recovering
+//! once.
 //!
 //! A second layer drives the same interleavings end to end through the
 //! serving tier ([`Server::open`] with a registered incremental view):
@@ -198,13 +199,14 @@ fn crash_and_check(
                 db.delete(rel_name, &row).unwrap();
             }
             5 => {
-                // Bulk load of two rows (BulkBegin..rows..BulkEnd bracket).
+                // Bulk load of two rows pushed one row per chunk
+                // (BulkBegin..chunk..chunk..BulkEnd bracket).
                 let rel = db.catalog().require_rel(rel_name).unwrap();
                 let (_, row2) = row_of(!*flip, vals);
-                let mut l = db.loader(rel);
-                l.push(&row);
+                let mut l = db.bulk_loader(rel);
+                l.push_rows(&row);
                 if row2.len() == row.len() {
-                    l.push(&row2);
+                    l.push_rows(&row2);
                 }
             }
             _ => {
@@ -345,8 +347,7 @@ proptest! {
                 6 | 7 => {
                     server.bulk_update(|db| {
                         let rel = db.catalog().require_rel(rel_name).unwrap();
-                        let mut l = db.loader(rel);
-                        l.push(&row);
+                        db.bulk_loader(rel).push_rows(&row);
                     });
                 }
                 _ => {
