@@ -172,7 +172,8 @@ struct NetInner {
     stop: AtomicBool,
     /// Frames answered across all connections (including errors).
     served: AtomicU64,
-    /// Connection-thread handles, joined on shutdown.
+    /// Handles of live connection threads: finished ones are joined at
+    /// the next accept, the rest on shutdown.
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -257,11 +258,13 @@ fn accept_loop(listener: TcpListener, inner: Arc<NetInner>) {
         }
         let conn_inner = Arc::clone(&inner);
         let handle = std::thread::spawn(move || serve_conn(stream, conn_inner));
-        inner
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+        let mut conns = inner.conns.lock().unwrap_or_else(|e| e.into_inner());
+        // Reap the threads whose peers have hung up, so connection churn
+        // does not grow the list.
+        for done in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        conns.push(handle);
     }
 }
 
@@ -639,5 +642,24 @@ mod tests {
             server.metrics_snapshot().writes.inserts,
             (CLIENTS * OPS) as u64
         );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let (server, tpl) = boot();
+        let net = NetServer::bind(server, &[tpl], "127.0.0.1:0").unwrap();
+        // Each cycle's answered ping proves its connection was accepted;
+        // the dropped client ends that connection's thread, which a later
+        // accept reaps.
+        const CYCLES: usize = 64;
+        for _ in 0..CYCLES {
+            NetClient::connect(net.addr()).unwrap().ping().unwrap();
+        }
+        let live = net.inner.conns.lock().unwrap().len();
+        assert!(
+            live < CYCLES / 4,
+            "{live} connection handles kept after {CYCLES} connect/drop cycles"
+        );
+        net.shutdown();
     }
 }

@@ -130,7 +130,7 @@ impl RelationShard {
                 debug_assert_eq!(rid, table.len(), "inserts append");
                 table.push(cells);
                 for (_, idx) in indexes.iter_mut() {
-                    idx.insert_row(rid as u32, cells);
+                    idx.insert_row(rid as u32, cells, table);
                 }
             }
             WriteKind::Delete => {
